@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import config as cfg
 from . import ehrenfest as ehr
 from . import emulator, estimator, exact, pulses, trace
@@ -74,10 +72,6 @@ PRESET_SECTIONS = {
         },
     },
 }
-
-
-def _grid_times(tau_fs: float, points: int) -> np.ndarray:
-    return np.arange(points) * (tau_fs / points)
 
 
 def _grid_steps(steps: int, points: int):
@@ -134,7 +128,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         ex = run_cfg.section("exact")
         req = exact.PropagationRequest(
             spec=spec,
-            times_fs=_grid_times(tau_fs, points),
+            times_fs=exact.default_time_grid(tau_fs, points),
             initial_state=initial,
             nbar=float(ex["nbar"]),
             cutoffs=_parse_cutoffs(ex["cutoffs"]),
@@ -164,7 +158,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
             initial_state=initial,
             tol=float(eh["tol"]),
         )
-        result = ehr.ensemble_average(spec, conf, _grid_times(tau_fs, points))
+        result = ehr.ensemble_average(spec, conf, exact.default_time_grid(tau_fs, points))
         result.to_csv(output)
         return diagnostics
 
@@ -186,7 +180,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     cutoffs = _parse_cutoffs(ion["cutoffs"])
     if cutoffs is None:
-        req = exact.PropagationRequest(spec=spec, times_fs=_grid_times(tau_fs, points))
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(tau_fs, points))
         cutoffs = exact.converge_cutoffs(req)
         run_cfg.sections["ion"]["cutoffs"] = " ".join(str(c) for c in cutoffs)
     diagnostics["cutoffs"] = cutoffs

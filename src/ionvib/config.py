@@ -97,6 +97,13 @@ def spec_from_sections(sections) -> LvcmSpec:
         model = sections["model"]
     except KeyError:
         raise ConfigError("missing [model] section") from None
+    try:
+        return _spec_from_model(model, sections)
+    except KeyError as exc:
+        raise ConfigError("model config is missing a required setting", key=exc.args[0]) from None
+
+
+def _spec_from_model(model: dict, sections) -> LvcmSpec:
     preset = model.get("preset", "custom").strip().lower()
     if preset == "toy":
         return build_toy_model(int(model.get("modes", "2")), float(model.get("lambda_over_delta", "1.0")))

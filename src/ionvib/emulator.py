@@ -41,7 +41,7 @@ from .pulses import (
     PulseSchedule,
     hardware_initial_vector,
     pulse_generator,
-    readout_populations,
+    walk_schedule,
 )
 from .trace import PopulationTrace
 from .units import US_PER_MS, US_PER_S
@@ -179,26 +179,6 @@ def lindblad_step(
     return rho
 
 
-def run_schedule(
-    schedule: PulseSchedule,
-    channels: NoiseChannels,
-    cutoffs,
-    stop_after_step: int | None = None,
-    check: bool = True,
-) -> hb.QuantumState:
-    """Density matrix after all pulses in Trotter steps up to ``stop_after_step``."""
-    stop = schedule.steps if stop_after_step is None else stop_after_step
-    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
-    psi = hardware_initial_vector(schedule, layout)
-    rho = np.outer(psi, psi.conj())
-    lio = _Liouvillian(layout, channels, schedule.hardware)
-    for pulse in schedule.ops:
-        if pulse.step >= stop:
-            break
-        rho = lindblad_step(rho, pulse, channels, schedule.hardware, layout, lio, check)
-    return hb.QuantumState(layout, rho, "density", validate=False)
-
-
 def emulate(
     schedule: PulseSchedule,
     channels: NoiseChannels,
@@ -214,42 +194,26 @@ def emulate(
     measured curve.  With a :class:`MeasurementPolicy`, binomially sampled
     populations and their shot-noise estimates are attached.
     """
-    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
-    psi = hardware_initial_vector(schedule, layout)
-    rho = np.outer(psi, psi.conj())
-    lio = _Liouvillian(layout, channels, schedule.hardware)
-    dt_fs = schedule.tau_fs / schedule.steps
     grid_steps = list(grid_steps)
-    m = schedule.mapping.state_count
-    pops = np.zeros((len(grid_steps), m))
-    leak = np.zeros(len(grid_steps))
-    op_iter = iter(schedule.ops)
-    pending = next(op_iter, None)
-    lab_time_us = 0.0
-    for g, stop in enumerate(grid_steps):
-        while pending is not None and pending.step < stop:
-            rho = lindblad_step(rho, pending, channels, schedule.hardware, layout, lio, check)
-            lab_time_us += pending.duration_us
-            pending = next(op_iter, None)
-        pops[g] = readout_populations(schedule, layout, rho, stop * dt_fs)
-        state = hb.QuantumState(layout, rho, "density", validate=False)
-        leak[g] = hb.top_level_leakage(state)
-    trace = PopulationTrace(
-        times_fs=np.asarray(grid_steps, dtype=float) * dt_fs,
-        populations=pops,
-        leakage=leak,
-        metadata={
-            "method": "ion-noisy" if channels.any_active() else "ion-ideal-lindblad",
-            "steps": schedule.steps,
-            "cutoffs": tuple(cutoffs),
-            "lab_time_us": lab_time_us,
-            "channels": {
-                "motional_dephasing": channels.motional_dephasing,
-                "heating": channels.heating,
-                "laser_dephasing": channels.laser_dephasing,
-            },
+    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
+    lio = _Liouvillian(layout, channels, schedule.hardware)
+
+    def step(rho, op):
+        return lindblad_step(rho, op, channels, schedule.hardware, layout, lio, check)
+
+    psi = hardware_initial_vector(schedule, layout)
+    trace = walk_schedule(schedule, layout, np.outer(psi, psi.conj()), grid_steps, step)
+    trace.metadata = {
+        "method": "ion-noisy" if channels.any_active() else "ion-ideal-lindblad",
+        "steps": schedule.steps,
+        "cutoffs": tuple(cutoffs),
+        "lab_time_us": schedule.operation_time_us(max(grid_steps, default=0)),
+        "channels": {
+            "motional_dephasing": channels.motional_dephasing,
+            "heating": channels.heating,
+            "laser_dephasing": channels.laser_dephasing,
         },
-    )
+    }
     if policy is not None:
         trace = attach_shot_noise(trace, policy)
     return trace
@@ -290,20 +254,3 @@ def attach_shot_noise(trace: PopulationTrace, policy: MeasurementPolicy) -> Popu
     trace.metadata["rng"] = "numpy PCG64, SeedSequence([seed, time_index])"
     return trace
 
-
-def measure_with_shot_noise(rho_series, schedule: PulseSchedule, layout, grid_steps, policy: MeasurementPolicy) -> PopulationTrace:
-    """Sample projective measurements from a series of density matrices."""
-    dt_fs = schedule.tau_fs / schedule.steps
-    grid_steps = list(grid_steps)
-    if len(rho_series) != len(grid_steps):
-        raise InvalidModelError("need one density matrix per grid step")
-    pops = np.zeros((len(grid_steps), schedule.mapping.state_count))
-    for g, (rho, stop) in enumerate(zip(rho_series, grid_steps)):
-        data = rho.data if isinstance(rho, hb.QuantumState) else rho
-        pops[g] = readout_populations(schedule, layout, data, stop * dt_fs)
-    trace = PopulationTrace(
-        times_fs=np.asarray(grid_steps, dtype=float) * dt_fs,
-        populations=pops,
-        metadata={"method": "ion-noisy", "steps": schedule.steps},
-    )
-    return attach_shot_noise(trace, policy)

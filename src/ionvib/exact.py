@@ -34,7 +34,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from . import hilbert
 from .errors import ConvergenceError, InvalidModelError
-from .hilbert import FockOperator, QuantumState, SpaceLayout
+from .hilbert import QuantumState, SpaceLayout
 from .model import LvcmSpec
 from .trace import PopulationTrace
 
@@ -91,12 +91,6 @@ class _Assembled:
         self.static = static
         self.time_terms = time_terms
 
-    def at(self, t_fs: float):
-        h = self.static
-        for fn, mat in self.time_terms:
-            h = h + fn(t_fs) * mat
-        return h
-
     def is_static(self) -> bool:
         return not self.time_terms
 
@@ -151,12 +145,6 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
             time_terms.append((lambda t, w=nu_k: np.exp(-1j * w * t), b))
             time_terms.append((lambda t, w=nu_k: np.exp(+1j * w * t), b.getH()))
     return _Assembled(sp.csr_matrix(static), [(f, sp.csr_matrix(m)) for f, m in time_terms])
-
-
-def assemble_hamiltonian(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab", t_fs: float = 0.0) -> FockOperator:
-    """Full Hamiltonian operator at one instant (rad/fs)."""
-    parts = hamiltonian_parts(spec, layout, frame)
-    return FockOperator(layout, parts.at(t_fs))
 
 
 def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndarray:
@@ -232,6 +220,37 @@ def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_
     return [sol.y[:, i] for i in range(len(times))]
 
 
+def _run(request: PropagationRequest, cutoffs):
+    """Propagate the thermal mixture at ``cutoffs``.
+
+    Returns the mixture populations (T x M), the top-level leakage summed over
+    modes at each grid time, and per mode the largest weighted top-level
+    population of any single thermal component at any grid time.
+    """
+    spec = request.spec
+    layout = layout_for(spec, cutoffs)
+    parts = hamiltonian_parts(spec, layout, request.frame)
+    elec = _initial_electronic(spec, layout, request.initial_state)
+    m = spec.state_count
+    times = request.times_fs
+    pops = np.zeros((len(times), m))
+    leak = np.zeros(len(times))
+    leak_by_mode = np.zeros(layout.mode_count)
+    for levels, weight in _thermal_mixture(spec, layout, request.nbar):
+        psi0 = elec
+        for lvl, d in zip(levels, layout.mode_cutoffs):
+            v = np.zeros(d, dtype=complex)
+            v[lvl] = 1.0
+            psi0 = np.kron(psi0, v)
+        for idx, psi in enumerate(_propagate_pure(parts, psi0, times, request.eps_int)):
+            pops[idx] += weight * _populations_from_vector(psi, layout, m)
+            st = QuantumState(layout, psi, "vector", validate=False)
+            top = [float(hilbert.mode_level_populations(st, k)[-1]) for k in range(layout.mode_count)]
+            leak[idx] += weight * sum(top)
+            leak_by_mode = np.maximum(leak_by_mode, [weight * p for p in top])
+    return pops, leak, leak_by_mode
+
+
 def propagate(request: PropagationRequest) -> PopulationTrace:
     """Run one exact propagation and return the population trace.
 
@@ -243,31 +262,9 @@ def propagate(request: PropagationRequest) -> PopulationTrace:
     if request.cutoffs is None:
         cutoffs = converge_cutoffs(request)
         request = replace(request, cutoffs=cutoffs)
-    layout = layout_for(request.spec, request.cutoffs)
-    parts = hamiltonian_parts(request.spec, layout, request.frame)
-    elec = _initial_electronic(request.spec, layout, request.initial_state)
-
-    m = request.spec.state_count
-    times = request.times_fs
-    pops = np.zeros((len(times), m))
-    leak = np.zeros(len(times))
-    for levels, weight in _thermal_mixture(request.spec, layout, request.nbar):
-        mode_vecs = []
-        for n, d in zip(levels, layout.mode_cutoffs):
-            v = np.zeros(d, dtype=complex)
-            v[n] = 1.0
-            mode_vecs.append(v)
-        psi0 = elec
-        for v in mode_vecs:
-            psi0 = np.kron(psi0, v)
-        states = _propagate_pure(parts, psi0, times, request.eps_int)
-        for idx, psi in enumerate(states):
-            pops[idx] += weight * _populations_from_vector(psi, layout, m)
-            st = QuantumState(layout, psi, "vector", validate=False)
-            leak[idx] += weight * hilbert.top_level_leakage(st)
-
+    pops, leak, _ = _run(request, request.cutoffs)
     return PopulationTrace(
-        times_fs=times,
+        times_fs=request.times_fs,
         populations=pops,
         leakage=leak,
         metadata={
@@ -298,33 +295,9 @@ def converge_cutoffs(request: PropagationRequest) -> tuple:
         # uncoupled modes stay in their initial Fock level; cutoff 2 suffices
         cutoffs = [2 if np.max(np.abs(spec.kappa[:, :, k])) == 0 else 4 for k in range(n)]
 
-    def run(cuts):
-        req = replace(request, cutoffs=tuple(cuts))
-        layout = layout_for(spec, cuts)
-        parts = hamiltonian_parts(spec, layout, request.frame)
-        elec = _initial_electronic(spec, layout, request.initial_state)
-        m = spec.state_count
-        pops = np.zeros((len(request.times_fs), m))
-        leak_by_mode = np.zeros(n)
-        for levels, weight in _thermal_mixture(spec, layout, request.nbar):
-            psi0 = elec
-            for lvl, d in zip(levels, layout.mode_cutoffs):
-                v = np.zeros(d, dtype=complex)
-                v[lvl] = 1.0
-                psi0 = np.kron(psi0, v)
-            states = _propagate_pure(parts, psi0, request.times_fs, request.eps_int)
-            for idx, psi in enumerate(states):
-                pops[idx] += weight * _populations_from_vector(psi, layout, m)
-                st = QuantumState(layout, psi, "vector", validate=False)
-                for k in range(n):
-                    leak_by_mode[k] = max(
-                        leak_by_mode[k], weight * float(hilbert.mode_level_populations(st, k)[-1])
-                    )
-        return pops, leak_by_mode
-
     previous = None
     for _ in range(64):
-        base_pops, base_leak = run(cutoffs)
+        base_pops, _, base_leak = _run(request, cutoffs)
         grow = {}
         for k in range(n):
             if base_leak[k] >= eps:
@@ -333,7 +306,7 @@ def converge_cutoffs(request: PropagationRequest) -> tuple:
             probe = list(cutoffs)
             probe[k] += 2
             try:
-                probe_pops, _ = run(probe)
+                probe_pops = _run(request, probe)[0]
             except InvalidModelError as exc:
                 raise ConvergenceError(
                     "dimension limit reached before cutoff convergence",
@@ -358,20 +331,3 @@ def converge_cutoffs(request: PropagationRequest) -> tuple:
         previous = base_pops
     raise ConvergenceError("cutoff search did not terminate", last=None, previous=previous)
 
-
-def expectation_series(request: PropagationRequest, operator_builder=None):
-    """Energy expectation <H>(t) on the grid for a pure run (diagnostic helper)."""
-    layout = layout_for(request.spec, request.cutoffs)
-    parts = hamiltonian_parts(request.spec, layout, request.frame)
-    elec = _initial_electronic(request.spec, layout, request.initial_state)
-    psi0 = elec
-    for d in layout.mode_cutoffs:
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        psi0 = np.kron(psi0, v)
-    states = _propagate_pure(parts, psi0, request.times_fs, request.eps_int)
-    out = []
-    for t, psi in zip(request.times_fs, states):
-        h = parts.at(t)
-        out.append(complex(np.vdot(psi, h @ psi)))
-    return np.asarray(out)

@@ -93,36 +93,12 @@ class FockOperator:
     def identity(cls, layout: SpaceLayout) -> "FockOperator":
         return cls(layout, sp.identity(layout.dim, dtype=complex, format="csr"))
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.layout, self.matrix.getH())
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         diff = self.matrix - self.matrix.getH()
         return diff.nnz == 0 or abs(diff).max() <= tol
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def __add__(self, other):
-        self._check(other)
-        return FockOperator(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FockOperator(self.layout, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return FockOperator(self.layout, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        self._check(other)
-        return FockOperator(self.layout, self.matrix @ other.matrix)
-
-    def _check(self, other):
-        if not isinstance(other, FockOperator) or other.layout != self.layout:
-            raise InvalidModelError("operator layouts do not match")
 
 
 class QuantumState:
@@ -242,25 +218,10 @@ def electronic_transition(layout: SpaceLayout, i: int, j: int) -> FockOperator:
     return FockOperator(layout, m)
 
 
-def thermal_mode_state(layout: SpaceLayout, mode_index: int, nbar: float) -> QuantumState:
-    """Thermal (Gibbs) state of a single mode, renormalized over the truncated levels.
-
-    Returned on a single-mode layout with that mode's cutoff; combine with
-    :func:`product_state` to build composite initial states.  nbar = 0 gives
-    the pure ground state occupation.
-    """
-    if nbar < 0:
-        raise InvalidModelError("nbar must be non-negative")
-    if not 0 <= mode_index < layout.mode_count:
-        raise InvalidModelError(f"mode index {mode_index} out of range")
-    d = layout.mode_cutoffs[mode_index]
-    p = thermal_weights(d, nbar)
-    single = SpaceLayout(0, (d,), layout.dim_limit)
-    return QuantumState(single, np.diag(p.astype(complex)), "density", validate=False)
-
-
 def thermal_weights(cutoff: int, nbar: float) -> np.ndarray:
     """Truncated geometric occupation p_n ~ (nbar/(1+nbar))^n, renormalized."""
+    if nbar < 0:
+        raise InvalidModelError("nbar must be non-negative")
     if nbar == 0:
         w = np.zeros(cutoff)
         w[0] = 1.0
@@ -283,43 +244,6 @@ def basis_vector(layout: SpaceLayout, electronic_index: int, mode_levels=None) -
     vec = np.zeros(layout.dim, dtype=complex)
     vec[idx] = 1.0
     return QuantumState(layout, vec, "vector", validate=False)
-
-
-def product_state(layout: SpaceLayout, electronic_vector, mode_states) -> QuantumState:
-    """Compose an electronic amplitude vector with per-mode states.
-
-    ``mode_states`` entries may be integers (Fock levels), vectors, or density
-    matrices; a density anywhere makes the result a density matrix.
-    """
-    el = np.asarray(electronic_vector, dtype=complex)
-    if el.shape != (layout.electronic_dim,):
-        raise InvalidModelError("electronic vector length does not match layout")
-    parts = []
-    any_density = False
-    for k, st in enumerate(mode_states):
-        d = layout.mode_cutoffs[k]
-        if isinstance(st, QuantumState):
-            data = st.data
-        else:
-            data = np.asarray(st)
-            if data.ndim == 0:
-                vec = np.zeros(d, dtype=complex)
-                vec[int(data)] = 1.0
-                data = vec
-        if data.ndim == 2:
-            any_density = True
-        parts.append(np.asarray(data, dtype=complex))
-    if not any_density:
-        vec = el
-        for p in parts:
-            vec = np.kron(vec, p)
-        return QuantumState(layout, vec, "vector", validate=False)
-    rho = np.outer(el, el.conj())
-    for p in parts:
-        if p.ndim == 1:
-            p = np.outer(p, p.conj())
-        rho = np.kron(rho, p)
-    return QuantumState(layout, rho, "density", validate=False)
 
 
 def expectation(state: QuantumState, op: FockOperator) -> complex:

@@ -16,7 +16,7 @@ to the acceptor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,11 +253,6 @@ def _ci_parameters(spec: LvcmSpec):
     return float(np.real(kx)), float(np.real(kz)), float(spec.nu[0]), float(spec.nu[1])
 
 
-def ci_is_symmetric(spec: LvcmSpec, rtol: float = 1e-12) -> bool:
-    kx, kz, nux, nuz = _ci_parameters(spec)
-    return math.isclose(kx, kz, rel_tol=rtol) and math.isclose(nux, nuz, rel_tol=rtol)
-
-
 def ci_adiabatic_surfaces(spec: LvcmSpec, x: float, z: float, px: float, pz: float):
     """Adiabatic surface pair (E-, E+) at classical phase-space point (x, z, px, pz).
 
@@ -298,15 +293,6 @@ def build_vaet_model(
     kappa[1, 1, 1] = ev_to_rad_per_fs(kappa_a2_ev)
     kappa[1, 1, 2] = ev_to_rad_per_fs(kappa_a3_ev)
     return LvcmSpec(delta, kappa, ev_to_rad_per_fs(nu_ev), labels=("D", "A"))
-
-
-def mode_correlation(spec: LvcmSpec, mode_index: int) -> str | None:
-    """'correlated' or 'anti-correlated' when a mode couples to two states, else None."""
-    diag = np.real(np.diagonal(spec.kappa[:, :, mode_index]))
-    nz = diag[np.abs(diag) > 0]
-    if len(nz) < 2:
-        return None
-    return "correlated" if nz[0] * nz[1] > 0 else "anti-correlated"
 
 
 def build_plet_model(
@@ -350,15 +336,3 @@ def build_plet_model(
     kappa = np.zeros((4, 4, 0), dtype=complex)
     return LvcmSpec(delta, kappa, np.zeros(0), drive=drive, labels=("G", "D1", "D2", "A"))
 
-
-def with_rwa(spec: LvcmSpec, rwa: bool) -> LvcmSpec:
-    """Copy of a driven spec with the rotating-wave option toggled."""
-    if spec.drive is None:
-        raise InvalidModelError("model has no drive")
-    return LvcmSpec(
-        spec.delta,
-        spec.kappa,
-        spec.nu,
-        drive=replace(spec.drive, rwa=rwa),
-        labels=spec.labels,
-    )

@@ -52,9 +52,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
+from . import hilbert as hb
 from .errors import InfeasibleScheduleError, InvalidModelError, UnsupportedChainError
 from .model import LvcmSpec, build_toy_model
+from .trace import PopulationTrace
 from .units import US_PER_MS
 
 TWO_PI = 2.0 * math.pi
@@ -563,30 +566,6 @@ class _Lowerer:
         return ops
 
 
-def lower_term(
-    term: TrotterTerm,
-    hardware: HardwareParams,
-    spec: LvcmSpec,
-    physical_rotations: bool = False,
-) -> list:
-    """Lower one Trotter term to native ops (standalone entry point)."""
-    mapping = map_spec(spec)
-    low = _Lowerer(spec, mapping, hardware, ions_for(spec), physical_rotations)
-    return low.lower(term)
-
-
-def pulse_duration(term: TrotterTerm, hardware: HardwareParams, chain: int) -> float:
-    """Lab duration (us) of the primary sideband pulse a term lowers to."""
-    slope, floor = hardware.calibration_for(chain)
-    if term.kind == "dcoup":
-        angle = abs(term.diag[0] - term.diag[1]) / 2.0 * term.dt_fs
-    else:
-        angle = term.angle
-    if angle < 1e-15:
-        return 0.0
-    return max(floor, slope * angle)
-
-
 @dataclass
 class PulseSchedule:
     """Ordered native ops plus everything the emulator needs to run them."""
@@ -678,8 +657,6 @@ def build_schedule(
 
 def pulse_generator(pulse: NativePulse, layout):
     """Unit-angle generator of a pulse as a sparse operator on ``layout``."""
-    from . import hilbert as hb
-
     if pulse.kind == "carrier":
         return 0.5 * hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0]).matrix
     if pulse.kind == "sdf":
@@ -712,44 +689,37 @@ def hardware_initial_vector(schedule: PulseSchedule, layout) -> np.ndarray:
 def readout_populations(schedule: PulseSchedule, layout, state, t_fs: float) -> np.ndarray:
     """Electronic populations from a hardware state after frame correction.
 
-    Dense encoding reads the corrected qubit's computational populations;
-    one-hot reads each qubit's |1> marginal.
+    The correction acts on the qubits only, so it is applied to the reduced
+    qubit density matrix.  Dense encoding reads the corrected qubit's
+    computational populations; one-hot reads each qubit's |1> marginal.
     """
-    import scipy.sparse as sp
-
     corr = schedule.mapping.correction(t_fs)
-    rest = layout.dim // layout.electronic_dim
-    full = sp.kron(sp.csr_matrix(corr), sp.identity(rest, format="csr"), format="csr")
-    m = schedule.mapping.state_count
+    e = layout.electronic_dim
     if state.ndim == 1:
-        psi = full @ state
-        probs = np.abs(psi.reshape(layout.electronic_dim, rest)) ** 2
-        diag = probs.sum(axis=1)
+        s = state.reshape(e, -1)
+        rho_e = s @ s.conj().T
     else:
-        rho = full @ state @ full.conj().T
-        diag = np.real(np.diagonal(rho)).reshape(layout.electronic_dim, rest).sum(axis=1)
+        rest = layout.dim // e
+        rho_e = np.trace(state.reshape(e, rest, e, rest), axis1=1, axis2=3)
+    diag = np.real(np.diagonal(corr @ rho_e @ corr.conj().T))
+    m = schedule.mapping.state_count
     if schedule.mapping.encoding == "dense":
         return diag[:m]
     out = np.zeros(m)
     for i in range(m):
         bit = 1 << (schedule.qubit_count - 1 - i)
-        out[i] = diag[[idx for idx in range(layout.electronic_dim) if idx & bit]].sum()
+        out[i] = diag[[idx for idx in range(e) if idx & bit]].sum()
     return out
 
 
-def compose_ideal(schedule: PulseSchedule, cutoffs, grid_steps) -> "PopulationTrace":
-    """Compose the ideal unitaries of all ops and read populations at grid steps.
+def walk_schedule(schedule: PulseSchedule, layout, state, grid_steps, apply_op):
+    """Walk the schedule once, reading the state at each grid step.
 
-    ``grid_steps`` are Trotter-step indices (0 means the prepared state); the
-    realized times are step * tau/S.
+    Before reading at grid step g, every op of the Trotter steps below g is
+    applied as ``state = apply_op(state, op)``.  ``state`` is a vector or a
+    density matrix.  Returns the population trace on the times step * tau/S,
+    with top-level leakage.
     """
-    from scipy.sparse.linalg import expm_multiply
-
-    from . import hilbert as hb
-    from .trace import PopulationTrace
-
-    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
-    psi = hardware_initial_vector(schedule, layout)
     dt_fs = schedule.tau_fs / schedule.steps
     grid_steps = list(grid_steps)
     pops = np.zeros((len(grid_steps), schedule.mapping.state_count))
@@ -758,15 +728,26 @@ def compose_ideal(schedule: PulseSchedule, cutoffs, grid_steps) -> "PopulationTr
     pending = next(op_iter, None)
     for g, stop in enumerate(grid_steps):
         while pending is not None and pending.step < stop:
-            gen = pulse_generator(pending, layout)
-            psi = expm_multiply(-1j * pending.angle * gen, psi)
+            state = apply_op(state, pending)
             pending = next(op_iter, None)
-        pops[g] = readout_populations(schedule, layout, psi, stop * dt_fs)
-        st = hb.QuantumState(layout, psi, "vector", validate=False)
-        leak[g] = hb.top_level_leakage(st)
-    return PopulationTrace(
-        times_fs=np.asarray(grid_steps, dtype=float) * dt_fs,
-        populations=pops,
-        leakage=leak,
-        metadata={"method": "ion-ideal-composition", "steps": schedule.steps, "cutoffs": tuple(cutoffs)},
-    )
+        pops[g] = readout_populations(schedule, layout, state, stop * dt_fs)
+        leak[g] = hb.top_level_leakage(hb.QuantumState(layout, state, validate=False))
+    times_fs = np.asarray(grid_steps, dtype=float) * dt_fs
+    return PopulationTrace(times_fs=times_fs, populations=pops, leakage=leak)
+
+
+def compose_ideal(schedule: PulseSchedule, cutoffs, grid_steps) -> PopulationTrace:
+    """Compose the ideal unitaries of all ops and read populations at grid steps.
+
+    ``grid_steps`` are Trotter-step indices (0 means the prepared state); the
+    realized times are step * tau/S.
+    """
+    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
+
+    def unitary(psi, op):
+        return expm_multiply(-1j * op.angle * pulse_generator(op, layout), psi)
+
+    psi = hardware_initial_vector(schedule, layout)
+    trace = walk_schedule(schedule, layout, psi, grid_steps, unitary)
+    trace.metadata = {"method": "ion-ideal-composition", "steps": schedule.steps, "cutoffs": tuple(cutoffs)}
+    return trace

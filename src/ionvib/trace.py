@@ -73,9 +73,14 @@ class PopulationTrace:
 
 
 def read_csv(path) -> PopulationTrace:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+    except OSError as exc:
+        raise IonvibError(f"cannot read trace file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise IonvibError(f"trace file {path} has a non-numeric value: {exc}") from exc
     if not data:
         raise IonvibError(f"trace file {path} has no rows")
     arr = np.asarray(data)

@@ -16,43 +16,12 @@ fitted parameter):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 HBAR_EV_FS = 0.6582119569
 
 #: microseconds per second, used when folding quoted per-second rates into lab time
 US_PER_S = 1.0e6
 #: microseconds per millisecond
 US_PER_MS = 1.0e3
-
-
-@dataclass(frozen=True)
-class EnergyQuantity:
-    """An energy with an explicit unit tag, either ``eV`` or ``rad_per_fs``."""
-
-    value: float
-    unit: str = "eV"
-
-    def __post_init__(self):
-        if self.unit not in ("eV", "rad_per_fs"):
-            raise ValueError(f"unknown energy unit {self.unit!r}")
-
-    def in_rad_per_fs(self) -> float:
-        if self.unit == "rad_per_fs":
-            return self.value
-        return self.value / HBAR_EV_FS
-
-    def in_ev(self) -> float:
-        if self.unit == "eV":
-            return self.value
-        return self.value * HBAR_EV_FS
-
-
-def to_angular_frequency(e: EnergyQuantity) -> float:
-    """Convert an eV-tagged energy to an angular frequency in rad/fs."""
-    if e.unit != "eV":
-        raise ValueError("to_angular_frequency expects an eV-tagged quantity")
-    return e.value / HBAR_EV_FS
 
 
 def ev_to_rad_per_fs(value_ev: float) -> float:

@@ -267,3 +267,30 @@ def test_compare_grid_mismatch_errors(tmp_path):
     a.write_text("time_fs,P_0,P_1,leakage\n0.0,1.0,0.0,0.0\n10.0,0.9,0.1,0.0\n")
     b.write_text("time_fs,P_0,P_1,leakage\n0.0,1.0,0.0,0.0\n20.0,0.9,0.1,0.0\n")
     assert main(["compare", str(a), str(b)]) == 1
+
+
+def test_custom_model_missing_key_exits_2(tmp_path, capsys):
+    # no preset and no model file: the custom preset lacks its required keys
+    rc = main(
+        [
+            "run", "--backend", "exact", "--lambda-over-delta", "1", "--modes", "2",
+            "--output", str(tmp_path / "a.csv"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "states" in err
+
+
+def test_compare_missing_file_errors(tmp_path, capsys):
+    b = tmp_path / "b.csv"
+    b.write_text("time_fs,P_0,P_1,leakage\n0.0,1.0,0.0,0.0\n")
+    assert main(["compare", str(tmp_path / "missing.csv"), str(b)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_compare_non_numeric_cell_errors(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("time_fs,P_0,P_1,leakage\n0.0,1.0,zero,0.0\n")
+    assert main(["compare", str(a), str(a)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

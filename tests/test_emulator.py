@@ -13,7 +13,6 @@ from ionvib.emulator import (
     channel_rates_per_us,
     emulate,
     lindblad_step,
-    run_schedule,
     sample_populations,
     shot_noise_sigma,
 )
@@ -118,9 +117,8 @@ class TestScheduleEmulation:
     def test_stop_at_zero_keeps_donor(self):
         spec = model.build_toy_model(2, 1.0)
         sch = build_schedule(spec, 400.0, 16)
-        state = run_schedule(sch, NoiseChannels(), (4, 4), stop_after_step=0)
-        pops = pulses.readout_populations(sch, state.layout, state.data, 0.0)
-        assert pops[0] == pytest.approx(1.0, abs=1e-9)
+        tr = emulate(sch, NoiseChannels(), (4, 4), [0])
+        assert tr.populations[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_channels_off_matches_ideal_composition(self):
         spec = model.build_toy_model(2, 1.0)
@@ -209,14 +207,10 @@ class TestShotNoise:
 
 
 def test_measure_with_shot_noise_from_density_series():
-    from ionvib.emulator import measure_with_shot_noise, run_schedule
-
     spec = model.build_toy_model(2, 1.0)
     sch = build_schedule(spec, 400.0, 8)
-    layout = hb.SpaceLayout(1, (4, 4))
-    grid = [0, 4, 8]
-    series = [run_schedule(sch, NoiseChannels.all_off(), (4, 4), stop_after_step=s) for s in grid]
-    trace = measure_with_shot_noise(series, sch, layout, grid, MeasurementPolicy(runs_per_point=200, seed=3))
+    policy = MeasurementPolicy(runs_per_point=200, seed=3)
+    trace = emulate(sch, NoiseChannels.all_off(), (4, 4), [0, 4, 8], policy=policy)
     assert trace.sampled.shape == (3, 2)
     assert trace.sampled[0, 0] == 1.0  # donor-prepared start samples deterministically
     # sampled frequencies stay near the exact populations

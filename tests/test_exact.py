@@ -18,14 +18,14 @@ class TestAssembly:
     def test_hermitian(self):
         spec = model.build_toy_model(2, 5.0)
         layout = exact.layout_for(spec, (4, 4))
-        h = exact.assemble_hamiltonian(spec, layout)
+        h = hb.FockOperator(layout, exact.hamiltonian_parts(spec, layout).static)
         assert h.is_hermitian(1e-12)
 
     def test_decoupled_block_structure(self):
         # kappa = 0: H = H_el (x) I + I (x) sum nu_k n_k exactly
         spec = model.build_toy_model(2, 0.0)
         layout = exact.layout_for(spec, (3, 3))
-        h = exact.assemble_hamiltonian(spec, layout).to_dense()
+        h = exact.hamiltonian_parts(spec, layout).static.toarray()
         h_el = np.array([[0, DELTA_W / 2], [DELTA_W / 2, 0]])
         expected = np.kron(h_el, np.eye(9)).astype(complex)
         expected += spec.nu[0] * hb.number_operator(layout, 0).to_dense()
@@ -35,8 +35,9 @@ class TestAssembly:
     def test_interaction_frame_at_zero(self):
         spec = model.build_toy_model(2, 2.0)
         layout = exact.layout_for(spec, (4, 4))
-        lab = exact.assemble_hamiltonian(spec, layout, "lab", 0.0).to_dense()
-        inter = exact.assemble_hamiltonian(spec, layout, "interaction", 0.0).to_dense()
+        lab = exact.hamiltonian_parts(spec, layout, "lab").static.toarray()
+        parts = exact.hamiltonian_parts(spec, layout, "interaction")
+        inter = (parts.static + sum(fn(0.0) * mat for fn, mat in parts.time_terms)).toarray()
         nsum = sum(
             spec.nu[k] * hb.number_operator(layout, k).to_dense() for k in range(2)
         )
@@ -86,10 +87,11 @@ class TestPropagation:
 
     def test_energy_conservation(self):
         spec = model.build_toy_model(2, 5.0)
-        req = exact.PropagationRequest(
-            spec=spec, times_fs=exact.default_time_grid(400.0, 10), cutoffs=(14, 12)
-        )
-        energies = exact.expectation_series(req)
+        layout = exact.layout_for(spec, (14, 12))
+        parts = exact.hamiltonian_parts(spec, layout)
+        psi0 = hb.basis_vector(layout, 0).data
+        states = exact._propagate_pure(parts, psi0, exact.default_time_grid(400.0, 10), 1e-8)
+        energies = np.array([np.vdot(psi, parts.static @ psi) for psi in states])
         h_scale = abs(energies[0]) + 1.0
         assert np.max(np.abs(energies - energies[0])) / h_scale < 1e-8
 
@@ -125,10 +127,20 @@ class TestPropagation:
 
 
 class TestCutoffSearch:
-    def test_uncoupled_modes_need_two_levels(self):
-        spec = model.build_toy_model(2, 0.0)
-        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(100.0, 5))
-        assert exact.converge_cutoffs(req) == (2, 2)
+    @pytest.mark.parametrize(
+        "ratio,tau_fs,points,expected",
+        [
+            # uncoupled modes stay in their initial Fock level
+            pytest.param(0.0, 100.0, 5, (2, 2), id="uncoupled"),
+            pytest.param(1.0, 400.0, 40, (8, 8), id="lam1"),
+            pytest.param(5.0, 400.0, 40, (16, 14), id="lam5"),
+            pytest.param(10.0, 400.0, 40, (20, 18), id="lam10"),
+        ],
+    )
+    def test_pinned_cutoffs(self, ratio, tau_fs, points, expected):
+        spec = model.build_toy_model(2, ratio)
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(tau_fs, points))
+        assert exact.converge_cutoffs(req) == expected
 
     def test_monotone_in_coupling(self):
         times = exact.default_time_grid(200.0, 9)

@@ -77,11 +77,6 @@ class TestToyModel:
 
 
 class TestIntersectionModel:
-    def test_symmetric_flag(self):
-        spec = model.build_ci_model(0.02, 0.02, 0.08, 0.08)
-        assert model.ci_is_symmetric(spec)
-        assert not model.ci_is_symmetric(model.build_ci_model(0.02, 0.03, 0.08, 0.08))
-
     def test_degenerate_at_origin(self):
         spec = model.build_ci_model(0.02, 0.02, 0.08, 0.08)
         lo, hi = model.ci_adiabatic_surfaces(spec, 0, 0, 0, 0)
@@ -136,20 +131,13 @@ class TestVaetModel:
         assert spec.kappa[1, 1, 0] == 0  # mode 1 couples to the donor only
         assert spec.kappa[0, 0, 2] == 0  # mode 3 couples to the acceptor only
 
-    def test_mode_correlation_flags(self):
-        same = model.build_vaet_model(0, 0, 0.02, 0.01, 0.012, 0.008, 0.015, (0.05, 0.06, 0.07))
-        opp = model.build_vaet_model(0, 0, 0.02, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
-        assert model.mode_correlation(same, 1) == "correlated"
-        assert model.mode_correlation(opp, 1) == "anti-correlated"
-        assert model.mode_correlation(same, 0) is None
-
     def test_rejects_bad_frequencies(self):
         with pytest.raises(InvalidModelError):
             model.build_vaet_model(0, 0, 0.02, 0.01, 0.012, -0.008, 0.015, (0.05, -0.06, 0.07))
 
 
 class TestPletModel:
-    def _spec(self, pol=(1.0, 0.0), v2=0.01):
+    def _spec(self, pol=(1.0, 0.0), v2=0.01, rwa=True):
         return model.build_plet_model(
             (0.0, 2.00, 2.02, 1.98),
             (0.012, 0.0),
@@ -159,6 +147,7 @@ class TestPletModel:
             pol,
             2.00,
             model.Envelope("constant", amplitude=1.0),
+            rwa=rwa,
         )
 
     def test_rejects_non_orthogonal_dipoles(self):
@@ -194,7 +183,8 @@ class TestPletModel:
         assert coeffs[1] == 0  # field orthogonal to the second dipole
 
     def test_rwa_toggle(self):
-        lab = model.with_rwa(self._spec(), False)
+        assert not self._spec().is_time_dependent()
+        lab = self._spec(rwa=False)
         assert lab.is_time_dependent()
         c = lab.drive.coupling_coefficients(0.0)[0]
         assert abs(c.imag) < 1e-15  # lab-frame field is real

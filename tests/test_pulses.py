@@ -11,9 +11,7 @@ from ionvib.pulses import (
     build_schedule,
     compose_ideal,
     ions_for,
-    lower_term,
     map_spec,
-    pulse_duration,
     trotterize,
 )
 from ionvib.units import ev_to_rad_per_fs
@@ -78,18 +76,28 @@ class TestTrotterize:
         assert np.max(np.abs(tr.populations - ex.populations)) < 1e-12
 
 
+def one_step_ops(spec, hardware=None):
+    """Ops of a single 4 fs Trotter step: step 0 of S = 100 over 400 fs."""
+    return build_schedule(spec, 4.0, 1, hardware=hardware).ops
+
+
+def sdf_durations(spec):
+    """Lab durations of every sdf pulse at the reference S = 600 over 400 fs."""
+    return [p.duration_us for p in build_schedule(spec, 400.0, 600).ops if p.kind == "sdf"]
+
+
 class TestLowering:
     def test_diagonal_coupling_single_sdf(self):
         # the two-state sideband term lowers to exactly one sdf pulse whose
         # rotation matches exp(-i theta sigma (a + a^dag)) with Rabi*t/2 = theta
-        spec = model.build_toy_model(2, 1.0)
-        term = next(t for t in trotterize(spec, 400.0, 100) if t.kind == "dcoup")
-        ops = lower_term(term, HardwareParams(), spec)
+        spec = model.build_toy_model(1, 1.0)
+        term = next(t for t in trotterize(spec, 4.0, 1) if t.kind == "dcoup")
+        ops = one_step_ops(spec)
         assert len(ops) == 1
         p = ops[0]
         assert p.kind == "sdf"
         c_z = float(np.real(spec.kappa[0, 0, term.mode] - spec.kappa[1, 1, term.mode])) / 2
-        theta = abs(c_z) * 4.0
+        theta = abs(c_z) * term.dt_fs
         assert p.angle == pytest.approx(theta)
         rabi_rad_us = p.rabi_khz * 1e-3 * 2 * math.pi
         assert rabi_rad_us * p.duration_us / 2 == pytest.approx(p.angle, rel=1e-12)
@@ -109,57 +117,44 @@ class TestLowering:
         assert np.allclose(expm(-1j * p.angle * gen.toarray()), direct)
 
     def test_pair_coupling_two_ms_pulses_equal_durations(self):
-        spec = onehot_spec()
-        term = next(t for t in trotterize(spec, 400.0, 100) if t.kind == "delta")
-        ops = lower_term(term, RELAXED, spec)
+        # one-hot model whose only pulse-emitting term is the state coupling
+        spec = model.LvcmSpec(onehot_spec().delta, np.zeros((3, 3, 1)), [EV(0.05)])
+        term = next(t for t in trotterize(spec, 4.0, 1) if t.kind == "delta")
+        ops = one_step_ops(spec, RELAXED)
         assert [p.kind for p in ops] == ["ms", "ms"]
         assert ops[0].duration_us == ops[1].duration_us > 0
         assert ops[0].angle == ops[1].angle == pytest.approx(term.angle / 2)
 
     def test_zero_angle_term_empty(self):
-        spec = model.build_toy_model(2, 1.0)
-        term = next(t for t in trotterize(spec, 400.0, 100) if t.kind == "dcoup")
-        zero = pulses.TrotterTerm(0, "dcoup", 2.0, 4.0, mode=0, diag=(0.0, 0.0))
-        assert lower_term(zero, HardwareParams(), spec) == []
+        # equal diagonal couplings: the spin-dependent part has zero angle and
+        # emits no sdf, only the spin-independent displacement remains
+        kappa = np.zeros((2, 2, 1), complex)
+        kappa[0, 0, 0] = kappa[1, 1, 0] = 0.01
+        spec = model.LvcmSpec(model.build_toy_model(1, 1.0).delta, kappa, [0.13])
+        assert [p.kind for p in one_step_ops(spec)] == ["disp"]
 
     def test_sign_folds_into_phase(self):
         spec = model.build_toy_model(2, 1.0)
-        term = next(t for t in trotterize(spec, 400.0, 100) if t.kind == "dcoup")
-        flipped = pulses.TrotterTerm(
-            term.step, "dcoup", term.t_mid_fs, term.dt_fs, mode=term.mode,
-            diag=(-term.diag[0], -term.diag[1]),
-        )
-        a = lower_term(term, HardwareParams(), spec)[0]
-        b = lower_term(flipped, HardwareParams(), spec)[0]
+        flipped = model.LvcmSpec(spec.delta, -spec.kappa, spec.nu)
+        a = one_step_ops(spec)[0]
+        b = one_step_ops(flipped)[0]
         assert b.angle == pytest.approx(a.angle)
         assert (b.phis[0] - a.phis[0]) % (2 * math.pi) == pytest.approx(math.pi)
 
 
 class TestDurations:
     def test_reference_mean_durations(self):
-        spec = model.build_toy_model(2, 30.0)
-        term = next(t for t in trotterize(spec, 400.0, 600) if t.kind == "dcoup")
-        assert pulse_duration(term, HardwareParams(), 2) == pytest.approx(15.7, rel=1e-9)
-        spec5 = model.build_toy_model(5, 30.0)
-        term5 = next(t for t in trotterize(spec5, 400.0, 600) if t.kind == "dcoup")
-        assert pulse_duration(term5, HardwareParams(), 4) == pytest.approx(19.0, rel=1e-9)
+        assert np.mean(sdf_durations(model.build_toy_model(2, 30.0))) == pytest.approx(15.7, rel=1e-9)
+        assert np.mean(sdf_durations(model.build_toy_model(5, 30.0))) == pytest.approx(19.0, rel=1e-9)
 
     def test_proportional_above_floor(self):
-        hw = HardwareParams()
         spec = model.build_toy_model(2, 30.0)
-        term = next(t for t in trotterize(spec, 400.0, 600) if t.kind == "dcoup")
-        halved = pulses.TrotterTerm(
-            term.step, "dcoup", term.t_mid_fs, term.dt_fs, mode=term.mode,
-            diag=(term.diag[0] / 2, term.diag[1] / 2),
-        )
-        assert pulse_duration(halved, hw, 2) == pytest.approx(pulse_duration(term, hw, 2) / 2)
+        halved = model.LvcmSpec(spec.delta, spec.kappa / 2, spec.nu)
+        assert np.allclose(sdf_durations(halved), np.array(sdf_durations(spec)) / 2, rtol=1e-12, atol=0)
 
     def test_floor_binds_at_weak_coupling(self):
-        hw = HardwareParams()
-        spec = model.build_toy_model(2, 1.0)
-        term = next(t for t in trotterize(spec, 400.0, 600) if t.kind == "dcoup")
-        _, floor = hw.calibration_for(2)
-        assert pulse_duration(term, hw, 2) == pytest.approx(floor)
+        _, floor = HardwareParams().calibration_for(2)
+        assert np.allclose(sdf_durations(model.build_toy_model(2, 1.0)), floor, rtol=1e-12, atol=0)
 
     def test_unsupported_chain(self):
         spec = model.build_toy_model(7, 1.0)  # needs ceil(7/2)+1 = 5 ions
@@ -216,13 +211,12 @@ class TestScheduleTotals:
 
 class TestFrameBookkeeping:
     def test_virtual_ops_cancel_per_term(self):
+        # each step of this model has one conjugated term, so per step is per term
         spec = model.build_ci_model(0.02, 0.02, 0.08, 0.08)
-        terms = trotterize(spec, 400.0, 4)
-        for term in terms:
-            ops = lower_term(term, HardwareParams(), spec)
-            virt = [p for p in ops if p.virtual]
-            if not virt:
-                continue
+        sch = build_schedule(spec, 400.0, 4)
+        assert any(p.virtual for p in sch.ops)
+        for step in range(sch.steps):
+            virt = [p for p in sch.ops if p.step == step and p.virtual]
             prod = np.eye(2, dtype=complex)
             for p in virt:
                 prod = pulses._carrier_matrix(p.phis[0], p.angle) @ prod
@@ -329,8 +323,9 @@ class TestIdealComposition:
 def test_unmappable_term_kind_rejected():
     spec = model.build_toy_model(2, 1.0)
     bogus = pulses.TrotterTerm(0, "squeeze", 1.0, 2.0)
+    low = pulses._Lowerer(spec, map_spec(spec), HardwareParams(), ions_for(spec), False)
     with pytest.raises(InvalidModelError):
-        lower_term(bogus, HardwareParams(), spec)
+        low.lower(bogus)
 
 
 def test_serialization_golden():

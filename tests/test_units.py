@@ -1,36 +1,23 @@
 import numpy as np
 import pytest
 
-from ionvib.units import (
-    HBAR_EV_FS,
-    EnergyQuantity,
-    ev_to_rad_per_fs,
-    rad_per_fs_to_ev,
-    to_angular_frequency,
-)
+from ionvib.units import HBAR_EV_FS, ev_to_rad_per_fs, rad_per_fs_to_ev
 
 
 def test_zero_energy():
-    assert to_angular_frequency(EnergyQuantity(0.0, "eV")) == 0.0
+    assert ev_to_rad_per_fs(0.0) == 0.0
 
 
 def test_hbar_definition():
-    assert to_angular_frequency(EnergyQuantity(HBAR_EV_FS, "eV")) == 1.0
+    assert ev_to_rad_per_fs(HBAR_EV_FS) == 1.0
 
 
 def test_reference_coupling_frequency():
     # 0.08679 eV / hbar, computed independently here
     expected = 0.08679 / 0.6582119569
-    got = to_angular_frequency(EnergyQuantity(0.08679, "eV"))
+    got = ev_to_rad_per_fs(0.08679)
     assert got == pytest.approx(expected, rel=1e-15)
     assert got == pytest.approx(0.131857, abs=5e-7)
-
-
-def test_rejects_wrong_unit():
-    with pytest.raises(ValueError):
-        to_angular_frequency(EnergyQuantity(1.0, "rad_per_fs"))
-    with pytest.raises(ValueError):
-        EnergyQuantity(1.0, "joules")
 
 
 def test_round_trip_identity_bulk():
@@ -41,6 +28,4 @@ def test_round_trip_identity_bulk():
 
 
 def test_quantity_round_trip():
-    q = EnergyQuantity(0.08679, "eV")
-    w = EnergyQuantity(q.in_rad_per_fs(), "rad_per_fs")
-    assert w.in_ev() == pytest.approx(q.value, rel=1e-15)
+    assert rad_per_fs_to_ev(ev_to_rad_per_fs(0.08679)) == pytest.approx(0.08679, rel=1e-15)
