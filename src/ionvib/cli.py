@@ -84,11 +84,15 @@ def _grid_steps(steps: int, points: int):
     return [g * stride for g in range(points)]
 
 
-def _parse_cutoffs(text: str):
-    text = text.strip()
-    if not text:
-        return None
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _parse_cutoffs(section: dict):
+    return tuple(cfg.parse_value(section, "cutoffs", cfg.ints)) or None
+
+
+def _point_count(section: dict, key: str) -> int:
+    points = cfg.parse_value(section, key, int)
+    if points < 1:
+        raise ConfigError(f"need at least one time point, got {points}", key=key)
+    return points
 
 
 def execute_run(run_cfg: cfg.RunConfig) -> dict:
@@ -96,21 +100,21 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     run = run_cfg.section("run")
     backend = run["backend"]
     output = run["output"]
-    tau_fs = float(run["tau_fs"])
-    points = int(run["grid_points"])
-    seed = int(run["seed"])
-    initial = int(run["initial_state"])
+    tau_fs = cfg.parse_value(run, "tau_fs")
+    points = _point_count(run, "grid_points")
+    seed = cfg.parse_value(run, "seed", int)
+    initial = cfg.parse_value(run, "initial_state", int)
     diagnostics = {}
 
     if backend == "estimate":
         est = run_cfg.section("estimate")
         plan = estimator.ExperimentPlan(
-            lambdas=tuple(float(v) for v in est["lambdas"].split()),
-            mode_counts=tuple(int(v) for v in est["modes_list"].split()),
-            runs_per_point=int(est["runs_per_point"]),
-            time_points=int(est["time_points"]),
+            lambdas=tuple(cfg.parse_value(est, "lambdas", cfg.floats)),
+            mode_counts=tuple(cfg.parse_value(est, "modes_list", cfg.ints)),
+            runs_per_point=cfg.parse_value(est, "runs_per_point", int),
+            time_points=_point_count(est, "time_points"),
             tau_fs=tau_fs,
-            trotter_steps=int(est["trotter_steps"]),
+            trotter_steps=cfg.parse_value(est, "trotter_steps", int),
             hardware=run_cfg.hardware(),
         )
         rows = estimator.experimental_time(plan)
@@ -130,10 +134,10 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
             spec=spec,
             times_fs=exact.default_time_grid(tau_fs, points),
             initial_state=initial,
-            nbar=float(ex["nbar"]),
-            cutoffs=_parse_cutoffs(ex["cutoffs"]),
-            eps_cut=float(ex["eps_cut"]),
-            eps_int=float(ex["eps_int"]),
+            nbar=cfg.parse_value(ex, "nbar"),
+            cutoffs=_parse_cutoffs(ex),
+            eps_cut=cfg.parse_value(ex, "eps_cut"),
+            eps_int=cfg.parse_value(ex, "eps_int"),
             frame=ex["frame"],
         )
         result = exact.propagate(req)
@@ -151,19 +155,19 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     if backend == "ehrenfest":
         eh = run_cfg.section("ehrenfest")
         conf = ehr.EnsembleConfig(
-            trajectories=int(eh["trajectories"]),
+            trajectories=cfg.parse_value(eh, "trajectories", int),
             sampling=eh["sampling"],
-            nbar=float(eh["nbar"]),
+            nbar=cfg.parse_value(eh, "nbar"),
             seed=seed,
             initial_state=initial,
-            tol=float(eh["tol"]),
+            tol=cfg.parse_value(eh, "tol"),
         )
         result = ehr.ensemble_average(spec, conf, exact.default_time_grid(tau_fs, points))
         result.to_csv(output)
         return diagnostics
 
     ion = run_cfg.section("ion")
-    steps = int(ion["trotter_steps"])
+    steps = cfg.parse_value(ion, "trotter_steps", int)
     schedule = pulses.build_schedule(
         spec,
         tau_fs,
@@ -178,7 +182,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         diagnostics["n_ions"] = schedule.n_ions
         return diagnostics
 
-    cutoffs = _parse_cutoffs(ion["cutoffs"])
+    cutoffs = _parse_cutoffs(ion)
     if cutoffs is None:
         req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(tau_fs, points))
         cutoffs = exact.converge_cutoffs(req)
@@ -194,7 +198,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
             heating=cfg.parse_bool(ion["heating"]),
             laser_dephasing=cfg.parse_bool(ion["laser_dephasing"]),
         )
-        runs = int(ion["runs_per_point"])
+        runs = cfg.parse_value(ion, "runs_per_point", int)
         policy = emulator.MeasurementPolicy(runs_per_point=runs, seed=seed) if runs > 0 else None
         result = emulator.emulate(
             schedule, channels, cutoffs, grid_steps, policy=policy, check=cfg.parse_bool(ion["check"])
@@ -352,8 +356,8 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         import os
 
-        lambdas = [float(v) for v in args.sweep_lambdas.replace(",", " ").split()]
-        modes = [int(v) for v in args.sweep_modes.replace(",", " ").split()]
+        lambdas = cfg.parse_value(vars(args), "sweep_lambdas", cfg.floats)
+        modes = cfg.parse_value(vars(args), "sweep_modes", cfg.ints)
         base_sections = _sections_from_flags(args)
         os.makedirs(args.output_dir, exist_ok=True)
         for n in modes:

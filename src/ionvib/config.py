@@ -41,8 +41,12 @@ def _parser() -> configparser.ConfigParser:
     return p
 
 
-def _floats(text: str) -> list:
+def floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def ints(text: str) -> list:
+    return [int(tok) for tok in text.replace(",", " ").split()]
 
 
 def _complexes(text: str) -> list:
@@ -56,6 +60,18 @@ def parse_bool(text: str) -> bool:
     if t in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def parse_value(section: dict, key: str, kind=float, default=None):
+    """``kind`` applied to ``section[key]`` (``default`` when given and the key is absent).
+
+    Text that ``kind`` rejects raises a ConfigError naming the key.
+    """
+    text = section[key] if default is None else section.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse {text!r}", key=key) from None
 
 
 # --- model files -----------------------------------------------------------------
@@ -103,71 +119,72 @@ def spec_from_sections(sections) -> LvcmSpec:
         raise ConfigError("model config is missing a required setting", key=exc.args[0]) from None
 
 
+def _envelope(section: dict) -> Envelope:
+    return Envelope(
+        kind=section.get("envelope", "constant"),
+        amplitude=parse_value(section, "amplitude", float, "1.0"),
+        center_fs=parse_value(section, "center_fs", float, "0.0"),
+        width_fs=parse_value(section, "width_fs", float, "1.0"),
+    )
+
+
+def _tuples(kind, sep: str):
+    """Parser for whitespace-separated tuples such as ``0:1 1:2``."""
+    return lambda text: tuple(tuple(kind(x) for x in tok.split(sep)) for tok in text.split())
+
+
 def _spec_from_model(model: dict, sections) -> LvcmSpec:
     preset = model.get("preset", "custom").strip().lower()
     if preset == "toy":
-        return build_toy_model(int(model.get("modes", "2")), float(model.get("lambda_over_delta", "1.0")))
-    if preset == "ci":
-        return build_ci_model(
-            float(model["kx_ev"]), float(model["kz_ev"]), float(model["nux_ev"]), float(model["nuz_ev"])
+        return build_toy_model(
+            parse_value(model, "modes", int, "2"), parse_value(model, "lambda_over_delta", float, "1.0")
         )
+    if preset == "ci":
+        return build_ci_model(*(parse_value(model, k) for k in ("kx_ev", "kz_ev", "nux_ev", "nuz_ev")))
     if preset == "vaet":
         return build_vaet_model(
-            float(model.get("e_d_ev", "0.0")),
-            float(model["e_a_ev"]),
-            float(model["delta_ev"]),
-            float(model["kappa_d1_ev"]),
-            float(model["kappa_d2_ev"]),
-            float(model["kappa_a2_ev"]),
-            float(model["kappa_a3_ev"]),
-            _floats(model["nu_ev"]),
+            parse_value(model, "e_d_ev", float, "0.0"),
+            parse_value(model, "e_a_ev"),
+            parse_value(model, "delta_ev"),
+            parse_value(model, "kappa_d1_ev"),
+            parse_value(model, "kappa_d2_ev"),
+            parse_value(model, "kappa_a2_ev"),
+            parse_value(model, "kappa_a3_ev"),
+            parse_value(model, "nu_ev", floats),
         )
     if preset == "plet":
         drive = sections["drive"]
-        env = Envelope(
-            kind=drive.get("envelope", "constant"),
-            amplitude=float(drive.get("amplitude", "1.0")),
-            center_fs=float(drive.get("center_fs", "0.0")),
-            width_fs=float(drive.get("width_fs", "1.0")),
-        )
         return build_plet_model(
-            _floats(model["omega_ev"]),
-            _floats(model["mu1"]),
-            _floats(model["mu2"]),
-            complex(model["v1_ev"]),
-            complex(model["v2_ev"]),
-            _complexes(drive["polarization"]),
-            float(drive["carrier_ev"]),
-            env,
+            parse_value(model, "omega_ev", floats),
+            parse_value(model, "mu1", floats),
+            parse_value(model, "mu2", floats),
+            parse_value(model, "v1_ev", complex),
+            parse_value(model, "v2_ev", complex),
+            parse_value(drive, "polarization", _complexes),
+            parse_value(drive, "carrier_ev"),
+            _envelope(drive),
             rwa=parse_bool(drive.get("rwa", "true")),
         )
     if preset != "custom":
         raise ConfigError(f"unknown model preset {preset!r}", key="preset")
-    m = int(model["states"])
-    n = int(model["modes"])
-    delta = np.array(_complexes(model["delta_ev"]), dtype=complex).reshape(m, m)
-    kappa_list = _complexes(model.get("kappa_ev", "")) if n else []
+    m = parse_value(model, "states", int)
+    n = parse_value(model, "modes", int)
+    delta = np.array(parse_value(model, "delta_ev", _complexes), dtype=complex).reshape(m, m)
+    kappa_list = parse_value(model, "kappa_ev", _complexes, "") if n else []
     kappa = np.array(kappa_list, dtype=complex).reshape(m, m, n) if n else np.zeros((m, m, 0))
-    nu_ev = np.array(_floats(sections["modes"]["nu_ev"])) if n else np.zeros(0)
+    nu_ev = np.array(parse_value(sections["modes"], "nu_ev", floats)) if n else np.zeros(0)
     labels = tuple(model["labels"].split()) if "labels" in model else None
     drive = None
     if "drive" in sections:
         d = sections["drive"]
-        transitions = tuple(tuple(int(x) for x in pair.split(":")) for pair in d["transitions"].split())
-        dipoles = tuple(tuple(float(x) for x in tok.split(",")) for tok in d["dipoles"].split())
         drive = DriveSpec(
-            transitions=transitions,
-            dipoles=dipoles,
-            polarization=tuple(_complexes(d["polarization"])),
-            carrier_rad_per_fs=ev_to_rad_per_fs(float(d["carrier_ev"])),
-            envelope=Envelope(
-                kind=d.get("envelope", "constant"),
-                amplitude=float(d.get("amplitude", "1.0")),
-                center_fs=float(d.get("center_fs", "0.0")),
-                width_fs=float(d.get("width_fs", "1.0")),
-            ),
+            transitions=parse_value(d, "transitions", _tuples(int, ":")),
+            dipoles=parse_value(d, "dipoles", _tuples(float, ",")),
+            polarization=tuple(parse_value(d, "polarization", _complexes)),
+            carrier_rad_per_fs=ev_to_rad_per_fs(parse_value(d, "carrier_ev")),
+            envelope=_envelope(d),
             rwa=parse_bool(d.get("rwa", "true")),
-            rotating_states=tuple(int(s) for s in d.get("rotating_states", "").split()),
+            rotating_states=tuple(parse_value(d, "rotating_states", ints, "")),
         )
     return LvcmSpec(
         ev_to_rad_per_fs_complex(delta),
@@ -221,33 +238,31 @@ def hardware_from_sections(sections) -> HardwareParams:
     if not h:
         return defaults
 
-    def pairs(text):
-        return tuple(tuple(float(x) for x in tok.split(":")) for tok in text.split())
-
+    pairs = _tuples(float, ":")
     cal = dict(defaults.duration_calibration)
     if "duration_slope_us_per_rad" in h or "duration_floor_us" in h:
-        slopes = {int(k): v for k, v in pairs(h.get("duration_slope_us_per_rad", ""))} or {
+        slopes = {int(k): v for k, v in parse_value(h, "duration_slope_us_per_rad", pairs, "")} or {
             n: c for n, (c, _) in cal.items()
         }
-        floors = {int(k): v for k, v in pairs(h.get("duration_floor_us", ""))} or {
+        floors = {int(k): v for k, v in parse_value(h, "duration_floor_us", pairs, "")} or {
             n: f for n, (_, f) in cal.items()
         }
         cal = {n: (slopes[n], floors.get(n, 0.0)) for n in slopes}
-    rabi = _floats(h["sideband_rabi_khz"]) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
+    rabi = parse_value(h, "sideband_rabi_khz", floats) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
     return HardwareParams(
-        mode_frequency_bands_mhz=pairs(h["mode_frequency_bands_mhz"])
+        mode_frequency_bands_mhz=parse_value(h, "mode_frequency_bands_mhz", pairs)
         if "mode_frequency_bands_mhz" in h
         else defaults.mode_frequency_bands_mhz,
         sideband_rabi_khz=(rabi[0], rabi[1]),
-        carrier_rabi_khz=float(h.get("carrier_rabi_khz", defaults.carrier_rabi_khz)),
-        motional_coherence_ms=float(h.get("motional_coherence_ms", defaults.motional_coherence_ms)),
-        heating_rate_quanta_per_s=float(
-            h.get("heating_rate_quanta_per_s", defaults.heating_rate_quanta_per_s)
+        carrier_rabi_khz=parse_value(h, "carrier_rabi_khz", float, defaults.carrier_rabi_khz),
+        motional_coherence_ms=parse_value(h, "motional_coherence_ms", float, defaults.motional_coherence_ms),
+        heating_rate_quanta_per_s=parse_value(
+            h, "heating_rate_quanta_per_s", float, defaults.heating_rate_quanta_per_s
         ),
-        laser_coherence_ms=float(h.get("laser_coherence_ms", defaults.laser_coherence_ms)),
-        cooling_ms=float(h.get("cooling_ms", defaults.cooling_ms)),
-        state_prep_us=float(h.get("state_prep_us", defaults.state_prep_us)),
-        measurement_us=float(h.get("measurement_us", defaults.measurement_us)),
+        laser_coherence_ms=parse_value(h, "laser_coherence_ms", float, defaults.laser_coherence_ms),
+        cooling_ms=parse_value(h, "cooling_ms", float, defaults.cooling_ms),
+        state_prep_us=parse_value(h, "state_prep_us", float, defaults.state_prep_us),
+        measurement_us=parse_value(h, "measurement_us", float, defaults.measurement_us),
         duration_calibration=cal,
     )
 

@@ -63,10 +63,6 @@ class NoiseChannels:
     def all_off(cls) -> "NoiseChannels":
         return cls(False, False, False)
 
-    @classmethod
-    def table_rates(cls) -> "NoiseChannels":
-        return cls()
-
     def any_active(self) -> bool:
         return self.motional_dephasing or self.heating or self.laser_dephasing
 
@@ -111,19 +107,19 @@ class _Liouvillian:
         always = sp.csr_matrix((self.dim**2, self.dim**2), dtype=complex)
         for k in range(layout.mode_count):
             if "motional_dephasing" in rates:
-                l_op = math.sqrt(2.0 * rates["motional_dephasing"]) * hb.number_operator(layout, k).matrix
+                l_op = math.sqrt(2.0 * rates["motional_dephasing"]) * hb.number_operator(layout, k)
                 always = always + self._dissipator(l_op)
             if "heating" in rates:
-                a_dag = hb.annihilation(layout, k).matrix.getH()
+                a_dag = hb.annihilation(layout, k).getH()
                 always = always + self._dissipator(math.sqrt(rates["heating"]) * a_dag)
                 if channels.symmetric_heating:
-                    a_op = hb.annihilation(layout, k).matrix
+                    a_op = hb.annihilation(layout, k)
                     always = always + self._dissipator(math.sqrt(rates["heating"]) * a_op)
         self.always_on = always
         self.per_qubit = {}
         if "laser_dephasing" in rates:
             for q in range(layout.qubit_count):
-                z = hb.pauli(layout, q, "Z").matrix
+                z = hb.pauli(layout, q, "Z")
                 self.per_qubit[q] = self._dissipator(math.sqrt(rates["laser_dephasing"] / 2.0) * z)
 
     def _dissipator(self, l_op):

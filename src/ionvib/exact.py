@@ -34,7 +34,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from . import hilbert
 from .errors import ConvergenceError, InvalidModelError
-from .hilbert import QuantumState, SpaceLayout
+from .hilbert import SpaceLayout
 from .model import LvcmSpec
 from .trace import PopulationTrace
 
@@ -95,22 +95,16 @@ class _Assembled:
         return not self.time_terms
 
 
-def _electronic_block(spec: LvcmSpec, layout: SpaceLayout, matrix: np.ndarray):
+def _electronic_block(layout: SpaceLayout, matrix: np.ndarray):
     """Embed an M x M electronic operator (identity on modes)."""
-    m = spec.state_count
-    out = None
-    for i in range(m):
-        for j in range(m):
-            if matrix[i, j] != 0:
-                term = matrix[i, j] * hilbert.electronic_transition(layout, i, j).matrix
-                out = term if out is None else out + term
-    if out is None:
-        out = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
-    return out
+    e = layout.electronic_dim
+    padded = np.zeros((e, e), dtype=complex)
+    padded[: len(matrix), : len(matrix)] = matrix
+    return sp.kron(sp.csr_matrix(padded), sp.identity(layout.dim // e, dtype=complex), format="csr")
 
 
 def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -> _Assembled:
-    static = _electronic_block(spec, layout, spec.delta)
+    static = _electronic_block(layout, spec.delta)
     time_terms = []
 
     if spec.drive is not None:
@@ -119,9 +113,11 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
             shift = np.zeros((spec.state_count, spec.state_count), dtype=complex)
             for s in drv.rotating_states:
                 shift[s, s] = -drv.carrier_rad_per_fs
-            static = static + _electronic_block(spec, layout, shift)
+            static = static + _electronic_block(layout, shift)
         for idx, (lo, hi) in enumerate(drv.transitions):
-            t_mat = hilbert.electronic_transition(layout, lo, hi).matrix
+            one_hot = np.zeros((spec.state_count, spec.state_count))
+            one_hot[lo, hi] = 1.0
+            t_mat = _electronic_block(layout, one_hot)
 
             def coeff(t, _i=idx):
                 return spec.drive.coupling_coefficients(t)[_i]
@@ -134,17 +130,17 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
                 time_terms.append((lambda t, _i=idx: np.conj(spec.drive.coupling_coefficients(t)[_i]), t_mat.getH()))
 
     for k in range(spec.mode_count):
-        k_mat = _electronic_block(spec, layout, spec.kappa[:, :, k])
-        a = hilbert.annihilation(layout, k).matrix
+        k_mat = _electronic_block(layout, spec.kappa[:, :, k])
+        a = hilbert.annihilation(layout, k)
         b = k_mat @ a  # K_k (x) a_k ; Hermitian conjugate carries a^dag
         if frame == "lab":
             static = static + b + b.getH()
-            static = static + spec.nu[k] * hilbert.number_operator(layout, k).matrix
+            static = static + spec.nu[k] * hilbert.number_operator(layout, k)
         else:
             nu_k = spec.nu[k]
             time_terms.append((lambda t, w=nu_k: np.exp(-1j * w * t), b))
             time_terms.append((lambda t, w=nu_k: np.exp(+1j * w * t), b.getH()))
-    return _Assembled(sp.csr_matrix(static), [(f, sp.csr_matrix(m)) for f, m in time_terms])
+    return _Assembled(sp.csr_matrix(static, dtype=complex), [(f, sp.csr_matrix(m)) for f, m in time_terms])
 
 
 def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndarray:
@@ -223,9 +219,10 @@ def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_
 def _run(request: PropagationRequest, cutoffs):
     """Propagate the thermal mixture at ``cutoffs``.
 
-    Returns the mixture populations (T x M), the top-level leakage summed over
-    modes at each grid time, and per mode the largest weighted top-level
-    population of any single thermal component at any grid time.
+    Returns the mixture populations (T x M), its top-level leakage summed over
+    modes at each grid time, and per mode the largest top-level population of
+    the mixture at any grid time.  Both leakage figures come from one T x N
+    accumulator, so they always describe the same state.
     """
     spec = request.spec
     layout = layout_for(spec, cutoffs)
@@ -234,8 +231,7 @@ def _run(request: PropagationRequest, cutoffs):
     m = spec.state_count
     times = request.times_fs
     pops = np.zeros((len(times), m))
-    leak = np.zeros(len(times))
-    leak_by_mode = np.zeros(layout.mode_count)
+    top = np.zeros((len(times), layout.mode_count))
     for levels, weight in _thermal_mixture(spec, layout, request.nbar):
         psi0 = elec
         for lvl, d in zip(levels, layout.mode_cutoffs):
@@ -244,11 +240,8 @@ def _run(request: PropagationRequest, cutoffs):
             psi0 = np.kron(psi0, v)
         for idx, psi in enumerate(_propagate_pure(parts, psi0, times, request.eps_int)):
             pops[idx] += weight * _populations_from_vector(psi, layout, m)
-            st = QuantumState(layout, psi, "vector", validate=False)
-            top = [float(hilbert.mode_level_populations(st, k)[-1]) for k in range(layout.mode_count)]
-            leak[idx] += weight * sum(top)
-            leak_by_mode = np.maximum(leak_by_mode, [weight * p for p in top])
-    return pops, leak, leak_by_mode
+            top[idx] += weight * hilbert.top_level_populations(layout, psi)
+    return pops, top.sum(axis=1), top.max(axis=0)
 
 
 def propagate(request: PropagationRequest) -> PopulationTrace:

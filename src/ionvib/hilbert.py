@@ -15,8 +15,9 @@ Conventions used throughout the workbench:
   standard Pauli Y.
 - Mode k is truncated to Fock levels |0> .. |d_k - 1> with <n-1|a|n> = sqrt(n).
 
-Operators are stored sparse (CSR); ``to_dense`` converts when a small dense
-matrix is needed (e.g. for exponentials of single-factor operators).
+Operators are plain scipy CSR matrices on the full space and states are plain
+numpy vectors or density matrices; ``QuantumState`` only adds validation for
+states handed in from outside.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidModelError
 
-DEFAULT_DIM_LIMIT = 2**20
+DIM_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class SpaceLayout:
 
     qubit_count: int
     mode_cutoffs: tuple = ()
-    dim_limit: int = DEFAULT_DIM_LIMIT
 
     def __post_init__(self):
         object.__setattr__(self, "mode_cutoffs", tuple(int(d) for d in self.mode_cutoffs))
@@ -46,10 +46,8 @@ class SpaceLayout:
             raise InvalidModelError("qubit_count must be non-negative")
         if any(d < 2 for d in self.mode_cutoffs):
             raise InvalidModelError("every mode cutoff must be >= 2")
-        if self.dim > self.dim_limit:
-            raise InvalidModelError(
-                f"total dimension {self.dim} exceeds the configured limit {self.dim_limit}"
-            )
+        if self.dim > DIM_LIMIT:
+            raise InvalidModelError(f"total dimension {self.dim} exceeds the limit {DIM_LIMIT}")
 
     @property
     def mode_count(self) -> int:
@@ -66,39 +64,6 @@ class SpaceLayout:
     def factors(self) -> list:
         """Dimension of each tensor factor, qubits then modes."""
         return [2] * self.qubit_count + list(self.mode_cutoffs)
-
-    def with_cutoffs(self, cutoffs) -> "SpaceLayout":
-        return SpaceLayout(self.qubit_count, tuple(cutoffs), self.dim_limit)
-
-
-class FockOperator:
-    """A complex operator on a :class:`SpaceLayout`, stored sparse."""
-
-    __slots__ = ("layout", "matrix")
-
-    def __init__(self, layout: SpaceLayout, matrix, hermitian: bool | None = None):
-        matrix = sp.csr_matrix(matrix, dtype=complex)
-        if matrix.shape != (layout.dim, layout.dim):
-            raise InvalidModelError(
-                f"matrix shape {matrix.shape} does not match layout dimension {layout.dim}"
-            )
-        self.layout = layout
-        self.matrix = matrix
-        if hermitian:
-            dev = abs(self.matrix - self.matrix.getH()).max()
-            if dev > 1e-12:
-                raise InvalidModelError(f"operator flagged Hermitian deviates by {dev:.2e}")
-
-    @classmethod
-    def identity(cls, layout: SpaceLayout) -> "FockOperator":
-        return cls(layout, sp.identity(layout.dim, dtype=complex, format="csr"))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = self.matrix - self.matrix.getH()
-        return diff.nnz == 0 or abs(diff).max() <= tol
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 class QuantumState:
@@ -135,12 +100,6 @@ class QuantumState:
         self.kind = kind
         self.data = data
 
-    def to_density(self) -> "QuantumState":
-        if self.kind == "density":
-            return self
-        rho = np.outer(self.data, self.data.conj())
-        return QuantumState(self.layout, rho, "density", validate=False)
-
 
 def _embed(layout: SpaceLayout, factor_index: int, op) -> sp.csr_matrix:
     """Kron an operator acting on one tensor factor with identities elsewhere."""
@@ -155,28 +114,27 @@ def _embed(layout: SpaceLayout, factor_index: int, op) -> sp.csr_matrix:
     return m
 
 
-def annihilation(layout: SpaceLayout, mode_index: int) -> FockOperator:
+def annihilation(layout: SpaceLayout, mode_index: int) -> sp.csr_matrix:
     """Truncated annihilation operator of one mode, identity elsewhere."""
     if not 0 <= mode_index < layout.mode_count:
         raise InvalidModelError(f"mode index {mode_index} out of range")
     d = layout.mode_cutoffs[mode_index]
     a = sp.diags(np.sqrt(np.arange(1, d)), offsets=1, format="csr")
-    return FockOperator(layout, _embed(layout, layout.qubit_count + mode_index, a))
+    return _embed(layout, layout.qubit_count + mode_index, a)
 
 
-def number_operator(layout: SpaceLayout, mode_index: int) -> FockOperator:
+def number_operator(layout: SpaceLayout, mode_index: int) -> sp.csr_matrix:
     if not 0 <= mode_index < layout.mode_count:
         raise InvalidModelError(f"mode index {mode_index} out of range")
     d = layout.mode_cutoffs[mode_index]
     n = sp.diags(np.arange(d, dtype=float), format="csr")
-    return FockOperator(layout, _embed(layout, layout.qubit_count + mode_index, n))
+    return _embed(layout, layout.qubit_count + mode_index, n)
 
 
-def quadrature_phase(layout: SpaceLayout, mode_index: int, phi_m: float = 0.0) -> FockOperator:
+def quadrature_phase(layout: SpaceLayout, mode_index: int, phi_m: float = 0.0) -> sp.csr_matrix:
     """b e^{+i phi_m} + b^dag e^{-i phi_m} for one mode (phi_m = 0 gives a + a^dag)."""
-    a = annihilation(layout, mode_index)
-    m = a.matrix * np.exp(1j * phi_m)
-    return FockOperator(layout, m + m.getH())
+    m = annihilation(layout, mode_index) * np.exp(1j * phi_m)
+    return m + m.getH()
 
 
 _PAULI = {
@@ -188,34 +146,22 @@ _PAULI = {
 }
 
 
-def pauli(layout: SpaceLayout, qubit_index: int, axis: str) -> FockOperator:
+def pauli(layout: SpaceLayout, qubit_index: int, axis: str) -> sp.csr_matrix:
     """Pauli / ladder operator on one qubit, embedded by tensor identity."""
     if not 0 <= qubit_index < layout.qubit_count:
         raise InvalidModelError(f"qubit index {qubit_index} out of range")
     key = axis if axis in ("plus", "minus") else axis.upper()
     if key not in _PAULI:
         raise InvalidModelError(f"unknown Pauli axis {axis!r}")
-    return FockOperator(layout, _embed(layout, qubit_index, _PAULI[key]))
+    return _embed(layout, qubit_index, _PAULI[key])
 
 
-def sigma_phi(layout: SpaceLayout, qubit_index: int, phi: float) -> FockOperator:
+def sigma_phi(layout: SpaceLayout, qubit_index: int, phi: float) -> sp.csr_matrix:
     """Equatorial spin operator: phi = 0 is X, phi = -pi/2 is Y."""
     m = np.exp(-1j * phi) * _PAULI["plus"] + np.exp(1j * phi) * _PAULI["minus"]
     if not 0 <= qubit_index < layout.qubit_count:
         raise InvalidModelError(f"qubit index {qubit_index} out of range")
-    return FockOperator(layout, _embed(layout, qubit_index, m))
-
-
-def electronic_transition(layout: SpaceLayout, i: int, j: int) -> FockOperator:
-    """|i><j| on the electronic factor (indices into the 2^q electronic basis)."""
-    d = layout.electronic_dim
-    if not (0 <= i < d and 0 <= j < d):
-        raise InvalidModelError("electronic state index out of range")
-    m = sp.csr_matrix(([1.0], ([i], [j])), shape=(d, d), dtype=complex)
-    rest = math.prod(layout.mode_cutoffs) if layout.mode_count else 1
-    if rest > 1:
-        m = sp.kron(m, sp.identity(rest, dtype=complex, format="csr"), format="csr")
-    return FockOperator(layout, m)
+    return _embed(layout, qubit_index, m)
 
 
 def thermal_weights(cutoff: int, nbar: float) -> np.ndarray:
@@ -246,33 +192,22 @@ def basis_vector(layout: SpaceLayout, electronic_index: int, mode_levels=None) -
     return QuantumState(layout, vec, "vector", validate=False)
 
 
-def expectation(state: QuantumState, op: FockOperator) -> complex:
+def expectation(state: QuantumState, op) -> complex:
     """<psi|O|psi> for vectors, Tr(rho O) for densities."""
-    if state.layout != op.layout:
-        raise InvalidModelError("state and operator layouts do not match")
+    if op.shape != (state.layout.dim, state.layout.dim):
+        raise InvalidModelError("operator shape does not match the state's layout")
     if state.kind == "vector":
-        return complex(np.vdot(state.data, op.matrix @ state.data))
-    return complex(np.trace(op.matrix @ state.data))
+        return complex(np.vdot(state.data, op @ state.data))
+    return complex(np.trace(op @ state.data))
 
 
-def mode_level_populations(state: QuantumState, mode_index: int) -> np.ndarray:
-    """Marginal occupation probabilities of one mode's Fock levels."""
-    layout = state.layout
-    d = layout.mode_cutoffs[mode_index]
-    dims = layout.factors()
-    axis = layout.qubit_count + mode_index
-    if state.kind == "vector":
-        probs = np.abs(state.data.reshape(dims)) ** 2
-        other = tuple(i for i in range(len(dims)) if i != axis)
-        return probs.sum(axis=other)
-    diag = np.real(np.diag(state.data)).reshape(dims)
-    other = tuple(i for i in range(len(dims)) if i != axis)
-    return diag.sum(axis=other)
-
-
-def top_level_leakage(state: QuantumState) -> float:
-    """Total population in the highest retained Fock level, summed over modes."""
-    total = 0.0
-    for k in range(state.layout.mode_count):
-        total += float(mode_level_populations(state, k)[-1])
-    return total
+def top_level_populations(layout: SpaceLayout, data) -> np.ndarray:
+    """Population of each mode's highest retained Fock level, from a vector or density."""
+    data = np.asarray(data)
+    probs = np.abs(data) ** 2 if data.ndim == 1 else np.real(np.diag(data))
+    probs = probs.reshape(layout.factors())
+    top = np.zeros(layout.mode_count)
+    for k in range(layout.mode_count):
+        axis = layout.qubit_count + k
+        top[k] = probs.sum(axis=tuple(i for i in range(probs.ndim) if i != axis))[-1]
+    return top

@@ -226,7 +226,6 @@ def trotterize(spec: LvcmSpec, tau_fs: float, steps: int) -> list:
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
@@ -591,9 +590,6 @@ class PulseSchedule:
         limit = self.steps if upto_step is None else upto_step
         return float(sum(p.duration_us for p in self.ops if p.step < limit))
 
-    def total_run_time_us(self) -> float:
-        return self.operation_time_us() + self.hardware.overhead_per_run_us()
-
     def count(self, kind: str) -> int:
         return sum(1 for p in self.pulses if p.kind == kind)
 
@@ -658,17 +654,17 @@ def build_schedule(
 def pulse_generator(pulse: NativePulse, layout):
     """Unit-angle generator of a pulse as a sparse operator on ``layout``."""
     if pulse.kind == "carrier":
-        return 0.5 * hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0]).matrix
+        return 0.5 * hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0])
     if pulse.kind == "sdf":
-        s = hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0]).matrix
-        q = hb.quadrature_phase(layout, pulse.mode, pulse.phi_m).matrix
+        s = hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0])
+        q = hb.quadrature_phase(layout, pulse.mode, pulse.phi_m)
         return s @ q
     if pulse.kind == "ms":
-        s1 = hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0]).matrix
-        s2 = hb.sigma_phi(layout, pulse.qubits[1], pulse.phis[1]).matrix
+        s1 = hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0])
+        s2 = hb.sigma_phi(layout, pulse.qubits[1], pulse.phis[1])
         return s1 @ s2
     if pulse.kind == "disp":
-        return hb.quadrature_phase(layout, pulse.mode, pulse.phi_m).matrix
+        return hb.quadrature_phase(layout, pulse.mode, pulse.phi_m)
     raise InvalidModelError(f"unknown pulse kind {pulse.kind!r}")
 
 
@@ -731,7 +727,7 @@ def walk_schedule(schedule: PulseSchedule, layout, state, grid_steps, apply_op):
             state = apply_op(state, pending)
             pending = next(op_iter, None)
         pops[g] = readout_populations(schedule, layout, state, stop * dt_fs)
-        leak[g] = hb.top_level_leakage(hb.QuantumState(layout, state, validate=False))
+        leak[g] = hb.top_level_populations(layout, state).sum()
     times_fs = np.asarray(grid_steps, dtype=float) * dt_fs
     return PopulationTrace(times_fs=times_fs, populations=pops, leakage=leak)
 

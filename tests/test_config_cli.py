@@ -294,3 +294,45 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
     a.write_text("time_fs,P_0,P_1,leakage\n0.0,1.0,zero,0.0\n")
     assert main(["compare", str(a), str(a)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "ini,args,key",
+    [
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "a,b"], "cutoffs"),
+        ("[model]\nstates = two\nmodes = 0\n", ["run", "--model-file", "{ini}", "--backend", "exact"], "states"),
+        ("[run]\ntau_fs = abc\n[model]\npreset = toy\n", ["run", "--config", "{ini}"], "tau_fs"),
+        (
+            "[hardware]\ncarrier_rabi_khz = fast\n",
+            ["compile", "--preset", "toy", "--steps", "4", "--hardware", "{ini}"],
+            "carrier_rabi_khz",
+        ),
+        (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-lambdas", "x"], "sweep_lambdas"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "0"], "grid_points"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "-5"], "grid_points"),
+        (
+            None,
+            ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "2", "--grid-points", "0"],
+            "grid_points",
+        ),
+        (
+            None,
+            ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "4", "--cutoffs", "4,4", "--grid-points", "0"],
+            "grid_points",
+        ),
+        ("[run]\nbackend = estimate\n[estimate]\ntime_points = 0\n", ["run", "--config", "{ini}"], "time_points"),
+    ],
+    ids=[
+        "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
+        "grid-0-exact", "grid-neg-exact", "grid-0-ehrenfest", "grid-0-ion", "estimate-time-points-0",
+    ],
+)
+def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
+    path = tmp_path / "in.ini"
+    if ini is not None:
+        path.write_text(ini)
+    args = [str(path) if a == "{ini}" else a for a in args]
+    out = ["--output-dir", str(tmp_path)] if args[0] == "sweep" else ["--output", str(tmp_path / "out.csv")]
+    assert main([*args, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"(key: {key})" in err

@@ -257,11 +257,11 @@ def test_lindblad_route_against_direct_integration():
         h = (p.angle / p.duration_us) * pulses.pulse_generator(p, layout).toarray()
         l_ops = []
         for k in range(2):
-            n_op = hb.number_operator(layout, k).to_dense()
+            n_op = hb.number_operator(layout, k).toarray()
             l_ops.append(np.sqrt(2 * rates["motional_dephasing"]) * n_op)
-            l_ops.append(np.sqrt(rates["heating"]) * hb.annihilation(layout, k).to_dense().conj().T)
+            l_ops.append(np.sqrt(rates["heating"]) * hb.annihilation(layout, k).toarray().conj().T)
         for q in p.qubits:
-            l_ops.append(np.sqrt(rates["laser_dephasing"] / 2) * hb.pauli(layout, q, "Z").to_dense())
+            l_ops.append(np.sqrt(rates["laser_dephasing"] / 2) * hb.pauli(layout, q, "Z").toarray())
 
         def rhs(t, y):
             r = y.reshape(layout.dim, layout.dim)

@@ -18,8 +18,8 @@ class TestAssembly:
     def test_hermitian(self):
         spec = model.build_toy_model(2, 5.0)
         layout = exact.layout_for(spec, (4, 4))
-        h = hb.FockOperator(layout, exact.hamiltonian_parts(spec, layout).static)
-        assert h.is_hermitian(1e-12)
+        h = exact.hamiltonian_parts(spec, layout).static
+        assert abs(h - h.getH()).max() <= 1e-12
 
     def test_decoupled_block_structure(self):
         # kappa = 0: H = H_el (x) I + I (x) sum nu_k n_k exactly
@@ -28,8 +28,8 @@ class TestAssembly:
         h = exact.hamiltonian_parts(spec, layout).static.toarray()
         h_el = np.array([[0, DELTA_W / 2], [DELTA_W / 2, 0]])
         expected = np.kron(h_el, np.eye(9)).astype(complex)
-        expected += spec.nu[0] * hb.number_operator(layout, 0).to_dense()
-        expected += spec.nu[1] * hb.number_operator(layout, 1).to_dense()
+        expected += spec.nu[0] * hb.number_operator(layout, 0).toarray()
+        expected += spec.nu[1] * hb.number_operator(layout, 1).toarray()
         assert np.allclose(h, expected, atol=1e-14)
 
     def test_interaction_frame_at_zero(self):
@@ -39,7 +39,7 @@ class TestAssembly:
         parts = exact.hamiltonian_parts(spec, layout, "interaction")
         inter = (parts.static + sum(fn(0.0) * mat for fn, mat in parts.time_terms)).toarray()
         nsum = sum(
-            spec.nu[k] * hb.number_operator(layout, k).to_dense() for k in range(2)
+            spec.nu[k] * hb.number_operator(layout, k).toarray() for k in range(2)
         )
         assert np.allclose(inter, lab - nsum, atol=1e-13)
 
@@ -141,6 +141,14 @@ class TestCutoffSearch:
         spec = model.build_toy_model(2, ratio)
         req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(tau_fs, points))
         assert exact.converge_cutoffs(req) == expected
+
+    def test_search_leakage_is_mixture_leakage(self):
+        # thermal start: the search must check the leakage propagate reports
+        spec = model.build_toy_model(1, 5.0)
+        req = exact.PropagationRequest(
+            spec=spec, times_fs=exact.default_time_grid(100.0, 5), nbar=0.5, cutoffs=(6,)
+        )
+        assert exact._run(req, (6,))[2][0] == max(exact.propagate(req).leakage)
 
     def test_monotone_in_coupling(self):
         times = exact.default_time_grid(200.0, 9)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ionvib import hilbert as hb
 from ionvib.errors import InvalidModelError
@@ -14,13 +15,13 @@ def layout():
 
 def test_annihilation_two_level():
     lay = hb.SpaceLayout(0, (2,))
-    a = hb.annihilation(lay, 0).to_dense()
+    a = hb.annihilation(lay, 0).toarray()
     assert np.allclose(a, [[0, 1], [0, 0]])
 
 
 def test_annihilation_matrix_elements():
     lay = hb.SpaceLayout(0, (6,))
-    a = hb.annihilation(lay, 0).to_dense()
+    a = hb.annihilation(lay, 0).toarray()
     for m in range(6):
         for n in range(6):
             expected = math.sqrt(n) if m == n - 1 else 0.0
@@ -28,32 +29,32 @@ def test_annihilation_matrix_elements():
 
 
 def test_number_operator_spectrum(layout):
-    n = hb.number_operator(layout, 0).to_dense()
+    n = hb.number_operator(layout, 0).toarray()
     vals = np.sort(np.linalg.eigvalsh(n))
     assert set(np.round(np.unique(vals)).astype(int)) == {0, 1, 2, 3}
 
 
 def test_commutator_below_cutoff():
     lay = hb.SpaceLayout(0, (8,))
-    a = hb.annihilation(lay, 0).to_dense()
+    a = hb.annihilation(lay, 0).toarray()
     comm = a @ a.conj().T - a.conj().T @ a
     # canonical on the subspace excluding the top Fock level
     assert np.allclose(np.diag(comm)[:-1], 1.0, atol=1e-12)
 
 
 def test_pauli_algebra(layout):
-    x = hb.pauli(layout, 0, "X").to_dense()
-    z = hb.pauli(layout, 0, "Z").to_dense()
+    x = hb.pauli(layout, 0, "X").toarray()
+    z = hb.pauli(layout, 0, "Z").toarray()
     eye = np.eye(layout.dim)
     assert np.allclose(x @ x, eye)
     assert np.allclose(x @ z + z @ x, 0.0)
 
 
 def test_sigma_phi_axes(layout):
-    x = hb.pauli(layout, 0, "X").to_dense()
-    y = hb.pauli(layout, 0, "Y").to_dense()
-    assert np.allclose(hb.sigma_phi(layout, 0, 0.0).to_dense(), x)
-    assert np.allclose(hb.sigma_phi(layout, 0, -math.pi / 2).to_dense(), y)
+    x = hb.pauli(layout, 0, "X").toarray()
+    y = hb.pauli(layout, 0, "Y").toarray()
+    assert np.allclose(hb.sigma_phi(layout, 0, 0.0).toarray(), x)
+    assert np.allclose(hb.sigma_phi(layout, 0, -math.pi / 2).toarray(), y)
 
 
 def test_index_bounds(layout):
@@ -108,7 +109,7 @@ def test_expectation_hermitian_real(layout):
 def test_expectation_trace_normalized(layout):
     rho = np.kron(np.diag([1.0, 0.0]), np.diag(hb.thermal_weights(4, 0.2)))
     st = hb.QuantumState(layout, np.kron(rho, np.diag(hb.thermal_weights(3, 0.2))))
-    eye = hb.FockOperator.identity(layout)
+    eye = sp.identity(layout.dim, dtype=complex, format="csr")
     assert hb.expectation(st, eye).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -122,8 +123,8 @@ def test_expectation_layout_mismatch(layout):
 def test_embedding_commutes_on_disjoint_factors(layout):
     a0 = hb.annihilation(layout, 0)
     x = hb.pauli(layout, 0, "X")
-    left = (x.matrix @ a0.matrix).toarray()
-    right = (a0.matrix @ x.matrix).toarray()
+    left = (x @ a0).toarray()
+    right = (a0 @ x).toarray()
     assert np.allclose(left, right)
     # against the explicit kron of single-factor pieces
     x1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,6 +145,6 @@ def test_state_validation():
 def test_leakage_diagnostic():
     lay = hb.SpaceLayout(0, (3, 3))
     st = hb.basis_vector(lay, 0, (2, 0))
-    assert hb.top_level_leakage(st) == pytest.approx(1.0)
+    assert hb.top_level_populations(lay, st.data).sum() == pytest.approx(1.0)
     st0 = hb.basis_vector(lay, 0, (0, 0))
-    assert hb.top_level_leakage(st0) == pytest.approx(0.0)
+    assert hb.top_level_populations(lay, st0.data).sum() == pytest.approx(0.0)

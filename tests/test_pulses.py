@@ -110,8 +110,8 @@ class TestLowering:
             -1j
             * theta
             * (
-                hb.sigma_phi(layout, 0, p.phis[0]).matrix
-                @ hb.quadrature_phase(layout, 0, p.phi_m).matrix
+                hb.sigma_phi(layout, 0, p.phis[0])
+                @ hb.quadrature_phase(layout, 0, p.phi_m)
             ).toarray()
         )
         assert np.allclose(expm(-1j * p.angle * gen.toarray()), direct)
