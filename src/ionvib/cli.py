@@ -127,6 +127,10 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         return diagnostics
 
     spec = run_cfg.spec()
+    if not 0 <= initial < spec.state_count:
+        raise ConfigError(
+            f"must be a state index 0 .. {spec.state_count - 1}, got {initial}", key="initial_state"
+        )
 
     if backend == "exact":
         ex = run_cfg.section("exact")
@@ -174,7 +178,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         steps,
         hardware=run_cfg.hardware(),
         initial_state=initial,
-        physical_rotations=cfg.parse_bool(ion["physical_rotations"]),
+        physical_rotations=cfg.parse_bool(ion, "physical_rotations"),
     )
     if backend == "compile":
         schedule.write(output)
@@ -194,14 +198,14 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         result = pulses.compose_ideal(schedule, cutoffs, grid_steps)
     else:
         channels = emulator.NoiseChannels(
-            motional_dephasing=cfg.parse_bool(ion["motional_dephasing"]),
-            heating=cfg.parse_bool(ion["heating"]),
-            laser_dephasing=cfg.parse_bool(ion["laser_dephasing"]),
+            motional_dephasing=cfg.parse_bool(ion, "motional_dephasing"),
+            heating=cfg.parse_bool(ion, "heating"),
+            laser_dephasing=cfg.parse_bool(ion, "laser_dephasing"),
         )
         runs = cfg.parse_value(ion, "runs_per_point", int)
         policy = emulator.MeasurementPolicy(runs_per_point=runs, seed=seed) if runs > 0 else None
         result = emulator.emulate(
-            schedule, channels, cutoffs, grid_steps, policy=policy, check=cfg.parse_bool(ion["check"])
+            schedule, channels, cutoffs, grid_steps, policy=policy, check=cfg.parse_bool(ion, "check")
         )
     result.to_csv(output)
     diagnostics["operation_time_us"] = schedule.operation_time_us()
@@ -211,7 +215,8 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 def _sections_from_flags(args) -> dict:
     sections = {}
     if args.config:
-        sections = {k: dict(v) for k, v in cfg.load_run_config(args.config).sections.items()}
+        # resolved once, after the flags: --backend may pick another backend's section
+        sections = cfg.load_run_sections(args.config)
     if args.model_file:
         model_cfg = cfg.load_model(args.model_file)
         sections.update(cfg.spec_to_sections(model_cfg))

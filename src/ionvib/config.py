@@ -53,13 +53,13 @@ def _complexes(text: str) -> list:
     return [complex(tok) for tok in text.split()]
 
 
-def parse_bool(text: str) -> bool:
+def _boolean(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
 def parse_value(section: dict, key: str, kind=float, default=None):
@@ -72,6 +72,11 @@ def parse_value(section: dict, key: str, kind=float, default=None):
         return kind(text)
     except ValueError:
         raise ConfigError(f"cannot parse {text!r}", key=key) from None
+
+
+def parse_bool(section: dict, key: str, default=None) -> bool:
+    """``section[key]`` as 1/0, true/false, yes/no or on/off; see :func:`parse_value`."""
+    return parse_value(section, key, _boolean, default)
 
 
 # --- model files -----------------------------------------------------------------
@@ -163,7 +168,7 @@ def _spec_from_model(model: dict, sections) -> LvcmSpec:
             parse_value(drive, "polarization", _complexes),
             parse_value(drive, "carrier_ev"),
             _envelope(drive),
-            rwa=parse_bool(drive.get("rwa", "true")),
+            rwa=parse_bool(drive, "rwa", "true"),
         )
     if preset != "custom":
         raise ConfigError(f"unknown model preset {preset!r}", key="preset")
@@ -183,7 +188,7 @@ def _spec_from_model(model: dict, sections) -> LvcmSpec:
             polarization=tuple(parse_value(d, "polarization", _complexes)),
             carrier_rad_per_fs=ev_to_rad_per_fs(parse_value(d, "carrier_ev")),
             envelope=_envelope(d),
-            rwa=parse_bool(d.get("rwa", "true")),
+            rwa=parse_bool(d, "rwa", "true"),
             rotating_states=tuple(parse_value(d, "rotating_states", ints, "")),
         )
     return LvcmSpec(
@@ -351,7 +356,8 @@ def resolve_run_config(sections: dict) -> RunConfig:
     return RunConfig(out)
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_sections(path) -> dict:
+    """A run config file's sections as written (no defaults, no [meta])."""
     p = _parser()
     try:
         if not p.read(path):
@@ -359,8 +365,11 @@ def load_run_config(path) -> RunConfig:
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         raise ConfigError(f"config parse error: {exc.message.splitlines()[0]}", line=line) from exc
-    sections = {s: dict(p[s]) for s in p.sections() if s != "meta"}
-    return resolve_run_config(sections)
+    return {s: dict(p[s]) for s in p.sections() if s != "meta"}
+
+
+def load_run_config(path) -> RunConfig:
+    return resolve_run_config(load_run_sections(path))
 
 
 def write_sidecar(config: RunConfig, path, diagnostics: dict | None = None) -> None:

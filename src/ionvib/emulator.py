@@ -39,7 +39,9 @@ from .errors import InvalidModelError, NumericalFailureError
 from .pulses import (
     HardwareParams,
     PulseSchedule,
+    apply_pulse,
     hardware_initial_vector,
+    hardware_layout,
     pulse_generator,
     walk_schedule,
 )
@@ -159,14 +161,16 @@ def lindblad_step(
     liouvillian: _Liouvillian | None = None,
     check: bool = True,
 ) -> np.ndarray:
-    """Propagate a density matrix through one pulse (or virtual op)."""
-    gen = pulse_generator(pulse, layout)
+    """Propagate a density matrix through one pulse (or virtual op).
+
+    Zero-duration ops apply their unitary on their own tensor factors
+    (:func:`~ionvib.pulses.apply_pulse`); pulses with a duration integrate
+    the full Liouvillian.
+    """
     if pulse.virtual or pulse.duration_us == 0.0:
-        u_rho = expm_multiply(-1j * pulse.angle * gen, rho)
-        rho = expm_multiply(-1j * pulse.angle * gen, u_rho.conj().T).conj().T
-        return rho
+        return apply_pulse(rho, pulse, layout, {})
     lio = liouvillian or _Liouvillian(layout, channels, hardware)
-    h_rad_us = (pulse.angle / pulse.duration_us) * gen
+    h_rad_us = (pulse.angle / pulse.duration_us) * pulse_generator(pulse, layout)
     full = lio.for_pulse(h_rad_us, pulse.qubits)
     vec = expm_multiply(full * pulse.duration_us, rho.reshape(-1))
     rho = vec.reshape(layout.dim, layout.dim)
@@ -191,7 +195,7 @@ def emulate(
     populations and their shot-noise estimates are attached.
     """
     grid_steps = list(grid_steps)
-    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
+    layout = hardware_layout(schedule, cutoffs)
     lio = _Liouvillian(layout, channels, schedule.hardware)
 
     def step(rho, op):

@@ -55,11 +55,12 @@ def schedule_cost(
     steps = schedule.steps
     stride = steps // time_points
     overhead_us = schedule.hardware.overhead_per_run_us() * runs_per_point * time_points
+    times = schedule.operation_times_us()
     operation_us = 0.0
     for g in range(1, time_points + 1):
-        operation_us += runs_per_point * schedule.operation_time_us(g * stride)
+        operation_us += runs_per_point * times[g * stride]
     total_us = overhead_us + operation_us
-    longest_ms = schedule.operation_time_us(steps) / 1e3
+    longest_ms = times[steps] / 1e3
     return total_us / US_PER_S, overhead_us / US_PER_S, operation_us / US_PER_S, longest_ms
 
 

@@ -12,6 +12,16 @@ Native operations and their unit-angle generators (``U = exp(-i angle G)``):
 
 Angles are non-negative; signs fold into the phases.
 
+The ideal route (:func:`compose_ideal`) never builds a full-space operator:
+each op acts on its own factors only (its one or two qubits and its mode) of
+the state reshaped to the layout's tensor factors.  The phases enter as
+diagonal conjugations, sigma^phi = D X D^dag with D = diag(1, e^{-i phi}) and
+b e^{i phi_m} + b^dag e^{-i phi_m} = D_m (b + b^dag) D_m^dag with
+D_m = diag(e^{-i phi_m n}), so every op is D U0 D^dag with a zero-phase U0
+(2x2, 4x4, 2d x 2d or d x d) that depends only on (kind, angle, cutoff).
+:func:`pulse_generator` still gives the full-space sparse generator, which
+the noisy route's Liouvillian needs.
+
 Qubit encodings.  A two-state model uses one qubit with the simulated basis
 rotated so that the population-difference operator lies in the equatorial
 plane (simulated Z -> hardware X, simulated X -> hardware Z).  The static
@@ -48,11 +58,10 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from . import hilbert as hb
 from .errors import InfeasibleScheduleError, InvalidModelError, UnsupportedChainError
@@ -188,32 +197,29 @@ def trotterize(spec: LvcmSpec, tau_fs: float, steps: int) -> list:
     m, n = spec.state_count, spec.mode_count
     dt = tau_fs / steps
     energies = static_energies(spec)
+    # which terms appear, and their coefficients, are the same at every step
+    energy = tuple(energies) if np.any(np.abs(energies) > 0) else None
+    dcoups = []
+    for k in range(n):
+        diag = np.real(np.diagonal(spec.kappa[:, :, k]))
+        if np.any(np.abs(diag) > 0):
+            dcoups.append((k, tuple(diag)))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    deltas = [((i, j), spec.delta[i, j]) for i, j in pairs if abs(spec.delta[i, j]) > 0]
+    ocoups = [
+        ((i, j), k, spec.kappa[i, j, k]) for i, j in pairs for k in range(n) if abs(spec.kappa[i, j, k]) > 0
+    ]
     terms = []
     for s in range(steps):
         t_mid = (s + 0.5) * dt
-        if np.any(np.abs(energies) > 0):
-            terms.append(
-                TrotterTerm(s, "energy", t_mid, dt, states=tuple(range(m)), diag=tuple(energies))
-            )
-        for k in range(n):
-            diag = np.real(np.diagonal(spec.kappa[:, :, k]))
-            if np.any(np.abs(diag) > 0):
-                terms.append(TrotterTerm(s, "dcoup", t_mid, dt, mode=k, diag=tuple(diag)))
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(spec.delta[i, j]) > 0:
-                    terms.append(
-                        TrotterTerm(s, "delta", t_mid, dt, states=(i, j), coeff=spec.delta[i, j])
-                    )
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(n):
-                    if abs(spec.kappa[i, j, k]) > 0:
-                        terms.append(
-                            TrotterTerm(
-                                s, "ocoup", t_mid, dt, states=(i, j), mode=k, coeff=spec.kappa[i, j, k]
-                            )
-                        )
+        if energy is not None:
+            terms.append(TrotterTerm(s, "energy", t_mid, dt, states=tuple(range(m)), diag=energy))
+        for k, diag in dcoups:
+            terms.append(TrotterTerm(s, "dcoup", t_mid, dt, mode=k, diag=diag))
+        for ij, c in deltas:
+            terms.append(TrotterTerm(s, "delta", t_mid, dt, states=ij, coeff=c))
+        for ij, k, c in ocoups:
+            terms.append(TrotterTerm(s, "ocoup", t_mid, dt, states=ij, mode=k, coeff=c))
         if spec.drive is not None:
             coeffs = spec.drive.coupling_coefficients(t_mid)
             for (lo, hi), c in zip(spec.drive.transitions, coeffs):
@@ -586,9 +592,25 @@ class PulseSchedule:
     def qubit_count(self) -> int:
         return self.mapping.qubit_count
 
+    def operation_times_us(self) -> list:
+        """Operation time (us) of the ops before each step boundary 0 .. steps.
+
+        Durations are added one by one in op order (ops are in step order),
+        so every prefix is the same float whichever boundary asks for it.
+        """
+        times = [0.0]
+        total = 0.0
+        for p in self.ops:
+            while len(times) <= p.step:
+                times.append(total)
+            total += p.duration_us
+        times.extend([total] * (self.steps + 1 - len(times)))
+        return times
+
     def operation_time_us(self, upto_step: int | None = None) -> float:
+        times = self.operation_times_us()
         limit = self.steps if upto_step is None else upto_step
-        return float(sum(p.duration_us for p in self.ops if p.step < limit))
+        return times[min(max(limit, 0), len(times) - 1)]
 
     def count(self, kind: str) -> int:
         return sum(1 for p in self.pulses if p.kind == kind)
@@ -668,6 +690,64 @@ def pulse_generator(pulse: NativePulse, layout):
     raise InvalidModelError(f"unknown pulse kind {pulse.kind!r}")
 
 
+def _base_generator(kind: str, cutoff: int) -> np.ndarray:
+    """Zero-phase generator on an op's own factors: sigma^0 = X, b + b^dag."""
+    if kind == "carrier":
+        return 0.5 * _X
+    if kind == "ms":
+        return np.kron(_X, _X)
+    b = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    if kind == "sdf":
+        return np.kron(_X, b + b.T)
+    if kind == "disp":
+        return b + b.T
+    raise InvalidModelError(f"unknown pulse kind {kind!r}")
+
+
+def apply_pulse(state: np.ndarray, pulse: NativePulse, layout, unitaries: dict) -> np.ndarray:
+    """``U = exp(-i angle G)`` of one pulse applied on its own tensor factors.
+
+    A vector ``psi`` becomes ``U psi``; a density matrix ``rho`` becomes
+    ``U rho U^dag`` (U on the ket axes, then U* on the bra axes).
+    U = D U0 D^dag as in the module docstring; ``unitaries`` caches the
+    zero-phase U0 by (kind, angle, cutoff) and belongs to one schedule walk.
+    """
+    axes = list(pulse.qubits)
+    phases = [np.array([1.0, np.exp(-1j * phi)]) for phi in pulse.phis]
+    cutoff = 0
+    if pulse.mode is not None:
+        cutoff = layout.mode_cutoffs[pulse.mode]
+        axes.append(layout.qubit_count + pulse.mode)
+        phases.append(np.exp(-1j * pulse.phi_m * np.arange(cutoff)))
+    key = (pulse.kind, pulse.angle, cutoff)
+    u0 = unitaries.get(key)
+    if u0 is None:
+        u0 = unitaries[key] = expm(-1j * pulse.angle * _base_generator(pulse.kind, cutoff))
+    d = reduce(np.kron, phases)
+    u = d[:, None] * u0 * d.conj()
+    factors = layout.factors()
+    if state.ndim == 1:
+        return _on_axes(state.reshape(factors), u, axes).reshape(-1)
+    bra = [len(factors) + a for a in axes]
+    t = _on_axes(state.reshape(factors * 2), u, axes)
+    return _on_axes(t, u.conj(), bra).reshape(state.shape)
+
+
+def _on_axes(t: np.ndarray, u: np.ndarray, axes: list) -> np.ndarray:
+    """Contract the square matrix ``u`` into the tensor ``t`` over ``axes``."""
+    dims = [t.shape[a] for a in axes]
+    n = len(axes)
+    out = np.tensordot(u.reshape(dims * 2), t, axes=(list(range(n, 2 * n)), axes))
+    return np.moveaxis(out, list(range(n)), axes)
+
+
+def hardware_layout(schedule: PulseSchedule, cutoffs) -> hb.SpaceLayout:
+    """Qubits (x) modes space of a schedule, one Fock cutoff per model mode."""
+    if len(cutoffs) != schedule.spec.mode_count:
+        raise InvalidModelError("need one cutoff per mode")
+    return hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
+
+
 def hardware_initial_vector(schedule: PulseSchedule, layout) -> np.ndarray:
     """Hardware start state: encoded electronic state, all modes in |0>."""
     dim_q = 2**schedule.qubit_count
@@ -735,13 +815,16 @@ def walk_schedule(schedule: PulseSchedule, layout, state, grid_steps, apply_op):
 def compose_ideal(schedule: PulseSchedule, cutoffs, grid_steps) -> PopulationTrace:
     """Compose the ideal unitaries of all ops and read populations at grid steps.
 
-    ``grid_steps`` are Trotter-step indices (0 means the prepared state); the
-    realized times are step * tau/S.
+    Each op is applied on its own tensor factors by :func:`apply_pulse`, its
+    phases as diagonal conjugations of a zero-phase unitary; those unitaries
+    are cached for this call only.  ``grid_steps`` are Trotter-step indices
+    (0 means the prepared state); the realized times are step * tau/S.
     """
-    layout = hb.SpaceLayout(schedule.qubit_count, tuple(cutoffs))
+    layout = hardware_layout(schedule, cutoffs)
+    unitaries = {}
 
     def unitary(psi, op):
-        return expm_multiply(-1j * op.angle * pulse_generator(op, layout), psi)
+        return apply_pulse(psi, op, layout, unitaries)
 
     psi = hardware_initial_vector(schedule, layout)
     trace = walk_schedule(schedule, layout, psi, grid_steps, unitary)

@@ -336,3 +336,66 @@ def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
     assert main([*args, *out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"(key: {key})" in err
+
+
+@pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])
+@pytest.mark.parametrize("cutoffs", ["4", "4,4,4"], ids=["too-few", "too-many"])
+def test_ion_cutoff_count_must_match_modes(tmp_path, capsys, backend, cutoffs):
+    args = ["run", "--preset", "toy", "--modes", "2", "--backend", backend, "--steps", "4"]
+    args += ["--grid-points", "4", "--cutoffs", cutoffs, "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.strip() == "error: need one cutoff per mode"
+
+
+@pytest.mark.parametrize("backend", ["exact", "ion-ideal", "ehrenfest"])
+@pytest.mark.parametrize("initial", ["5", "-1"])
+def test_initial_state_out_of_range_exits_2(tmp_path, capsys, backend, initial):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[model]\npreset = toy\nmodes = 2\n[run]\ninitial_state = {initial}\n")
+    args = ["run", "--config", str(path), "--backend", backend, "--cutoffs", "4,4", "--steps", "4"]
+    args += ["--grid-points", "4", "--trajectories", "2", "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(key: initial_state)" in err
+
+
+def test_config_file_backend_section_survives_backend_flag(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[model]\npreset = toy\nmodes = 2\n[ion]\ntrotter_steps = 8\ncutoffs = 4 4\n")
+    out = tmp_path / "out.csv"
+    args = ["run", "--config", str(path), "--backend", "ion-ideal", "--grid-points", "4", "--output", str(out)]
+    assert main(args) == 0
+    ion = cfg.load_run_config(str(out) + ".meta.ini").section("ion")
+    assert (ion["trotter_steps"], ion["cutoffs"]) == ("8", "4 4")
+
+
+@pytest.mark.parametrize(
+    "backend,key",
+    [
+        ("ion-ideal", "physical_rotations"),
+        ("ion-noisy", "motional_dephasing"),
+        ("ion-noisy", "heating"),
+        ("ion-noisy", "laser_dephasing"),
+        ("ion-noisy", "check"),
+    ],
+)
+def test_bad_boolean_exits_2_naming_key(tmp_path, capsys, backend, key):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[model]\npreset = toy\nmodes = 2\n[ion]\n{key} = maybe\n")
+    args = ["run", "--config", str(path), "--backend", backend, "--cutoffs", "4,4", "--steps", "4"]
+    args += ["--grid-points", "4", "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"(key: {key})" in err
+
+
+def test_bad_drive_rwa_exits_2_naming_key(tmp_path, capsys):
+    path = tmp_path / "m.ini"
+    path.write_text(
+        "[model]\npreset = plet\nomega_ev = 0.0 2.0 2.02 1.98\nmu1 = 0.012 0.0\nmu2 = 0.0 0.012\n"
+        "v1_ev = 0.01\nv2_ev = 0.01\n[drive]\npolarization = 0.7 0.7j\ncarrier_ev = 2.0\nrwa = perhaps\n"
+    )
+    args = ["run", "--model-file", str(path), "--backend", "exact", "--output", str(tmp_path / "o.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(key: rwa)" in err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from ionvib import hilbert as hb, model, pulses
 from ionvib.emulator import (
@@ -19,6 +20,7 @@ from ionvib.emulator import (
 from ionvib.errors import NumericalFailureError
 from ionvib.pulses import HardwareParams, NativePulse, build_schedule, compose_ideal
 from ionvib.trace import PopulationTrace
+from ionvib.units import ev_to_rad_per_fs
 
 
 def idle_pulse(duration_us):
@@ -231,6 +233,29 @@ def test_symmetric_heating_linear_from_vacuum(mode_layout):
     st = hb.QuantumState(mode_layout, out, "density", validate=False)
     n = hb.expectation(st, hb.number_operator(mode_layout, 0)).real
     assert n == pytest.approx(0.04, rel=1e-3)
+
+
+def test_virtual_op_density_matches_full_space_exponential():
+    # one-hot three-state model: its conjugated sdf halves carry virtual carrier and ms ops
+    delta = np.zeros((3, 3), complex)
+    delta[1, 1] = ev_to_rad_per_fs(0.01)
+    kappa = np.zeros((3, 3, 1), complex)
+    kappa[0, 2, 0] = ev_to_rad_per_fs(0.008) * np.exp(0.6j)
+    kappa[2, 0, 0] = np.conj(kappa[0, 2, 0])
+    spec = model.LvcmSpec(delta, kappa, [ev_to_rad_per_fs(0.05)])
+    sch = build_schedule(spec, 400.0, 2, hardware=HardwareParams(sideband_rabi_khz=(1.47, 500.0)))
+    layout = hb.SpaceLayout(sch.qubit_count, (3,))
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    virtual = [op for op in sch.ops if op.virtual]
+    assert {op.kind for op in virtual} == {"carrier", "ms"}
+    for op in virtual:
+        gen = -1j * op.angle * pulses.pulse_generator(op, layout)
+        ref = expm_multiply(gen, expm_multiply(gen, rho).conj().T).conj().T
+        out = lindblad_step(rho, op, NoiseChannels(), HardwareParams(), layout)
+        assert np.abs(out - ref).max() <= 1e-12
 
 
 def test_lindblad_route_against_direct_integration():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from ionvib import exact, model, pulses
+from ionvib import hilbert as hb
 from ionvib.errors import InfeasibleScheduleError, InvalidModelError, UnsupportedChainError
 from ionvib.pulses import (
     HardwareParams,
@@ -318,6 +320,49 @@ class TestIdealComposition:
         tr_s = compose_ideal(soft, (8, 8), grid)
         tr_h = compose_ideal(hard, (8, 8), grid)
         assert np.max(np.abs(tr_s.populations - tr_h.populations)) < 1e-10
+
+
+def _kernel_schedules():
+    env = model.Envelope("constant", amplitude=1.0)
+    pol = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    plet = model.build_plet_model(
+        (0.0, 2.00, 2.02, 1.98), (0.012, 0.0), (0.0, 0.012), 0.01, 0.01, pol, 2.00, env
+    )
+    vaet = model.build_vaet_model(0.0, 0.02, 0.03, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
+    return {
+        "ci": (build_schedule(model.build_ci_model(0.02, 0.02, 0.08, 0.08), 400.0, 6), (5, 4)),
+        "vaet": (build_schedule(vaet, 400.0, 4), (3, 4, 3)),
+        "onehot": (build_schedule(onehot_spec(0.6), 400.0, 4, hardware=RELAXED), (5,)),
+        "onehot-physical": (
+            build_schedule(onehot_spec(0.6), 400.0, 4, hardware=RELAXED, physical_rotations=True),
+            (5,),
+        ),
+        "plet": (build_schedule(plet, 400.0, 6, hardware=RELAXED), ()),
+    }
+
+
+class TestLocalKernel:
+    @pytest.mark.parametrize("name", ["ci", "vaet", "onehot", "onehot-physical", "plet"])
+    def test_every_op_matches_full_space_exponential(self, name):
+        sch, cutoffs = _kernel_schedules()[name]
+        layout = hb.SpaceLayout(sch.qubit_count, cutoffs)
+        assert any(p for op in sch.ops for p in op.phis)
+        if cutoffs:
+            assert any(op.phi_m for op in sch.ops)
+        rng = np.random.default_rng(5)
+        unitaries = {}
+        for op in sch.ops:
+            psi = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+            psi /= np.linalg.norm(psi)
+            ref = expm_multiply(-1j * op.angle * pulses.pulse_generator(op, layout), psi)
+            got = pulses.apply_pulse(psi, op, layout, unitaries)
+            assert np.abs(got - ref).max() <= 1e-12, op
+
+    def test_schedule_covers_every_op_kind(self):
+        kinds = {(op.kind, op.virtual) for sch, _ in _kernel_schedules().values() for op in sch.ops}
+        for kind in ("carrier", "sdf", "ms", "disp"):
+            assert (kind, False) in kinds
+        assert {("carrier", True), ("ms", True)} <= kinds
 
 
 def test_unmappable_term_kind_rejected():
