@@ -20,9 +20,35 @@ gamma_L = 1/T_laser; the heating rate is quoted in quanta/s and converted to
 Cooling, state preparation, and measurement intervals are not noise-integrated
 (the state is re-prepared every run).
 
-Each pulse is a constant-generator segment, so the Liouvillian is exponentiated
-exactly (Krylov expm on the vectorized density matrix); trace and positivity
-are checked after every pulse.
+Each pulse is a constant-generator segment, and every collapse operator acts
+on a single tensor factor, so a pulse's propagator factors exactly:
+
+    exp(t L) = exp(t L_loc) (x) prod_{idle modes k} exp(t D_k)
+
+L_loc acts on the ket and bra axes of the pulse's own qubits and mode: the
+pulse Hamiltonian, the always-on dissipators of its mode, and laser dephasing
+of its qubits.  D_k is the always-on dissipator of an idle mode; idle qubits
+do not evolve.  The factors act on disjoint axes and commute, so there is no
+splitting error, and no full-space operator is ever built.
+
+The pulse phases are diagonal conjugations D (see :mod:`ionvib.pulses`) and
+every dissipator is invariant under them (D a^dag D^dag = e^{-i phi} a^dag;
+n and Z are diagonal), so exp(t L_loc) = Ad(D) S0 Ad(D^dag) with a zero-phase
+superoperator S0 = exp(t L0) that depends only on (kind, angle, duration,
+cutoff).  S0 is block-diagonal over the connected components of L0's
+sparsity graph (an sdf pulse under heating has two, split by the parity of
+the ket and bra excitation numbers).  Each block is exponentiated densely
+(``scipy.linalg.expm``) once per :func:`emulate` call while all blocks
+together fit :data:`DENSE_BYTES`; larger local spaces apply ``expm_multiply``
+to the sparse zero-phase generator instead.  The idle-mode channels are
+cached the same way by (cutoff, duration).
+
+Trace and positivity are checked after every pulse: the trace stays within
+1e-6 of 1, and the Hermitian part of rho plus 1e-6 I has a Cholesky factor,
+which it has exactly when the Hermitian part's smallest eigenvalue exceeds
+-1e-6.
+Before allocating anything, :func:`emulate` checks that rho and its working
+copies fit :data:`RHO_BYTES_LIMIT`.
 """
 
 from __future__ import annotations
@@ -32,21 +58,31 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm, get_lapack_funcs
 from scipy.sparse.linalg import expm_multiply
 
-from . import hilbert as hb
 from .errors import InvalidModelError, NumericalFailureError
 from .pulses import (
     HardwareParams,
     PulseSchedule,
     apply_pulse,
+    base_generator,
     hardware_initial_vector,
     hardware_layout,
-    pulse_generator,
+    pulse_factors,
     walk_schedule,
 )
 from .trace import PopulationTrace
 from .units import US_PER_MS, US_PER_S
+
+#: most bytes a cached dense local superoperator may take, summed over its
+#: blocks; larger local spaces are propagated by ``expm_multiply``
+DENSE_BYTES = 2**25
+#: most bytes the density matrix and its working copies may take
+RHO_BYTES_LIMIT = 2**31
+#: the density matrix plus the working copies one step makes of it (about 6
+#: measured on the ``expm_multiply`` path, the larger one)
+RHO_COPIES = 8
 
 
 @dataclass(frozen=True)
@@ -97,58 +133,96 @@ def channel_rates_per_us(channels: NoiseChannels, hardware: HardwareParams) -> d
     return rates
 
 
-class _Liouvillian:
-    """Precomputed dissipator pieces for one layout."""
+def _collapse_ops(n_qubits: int, cutoff: int, rates: dict, channels: NoiseChannels) -> list:
+    """Collapse operators on an op's own factors: its qubits, then its mode (if ``cutoff``).
 
-    def __init__(self, layout, channels: NoiseChannels, hardware: HardwareParams):
-        self.layout = layout
-        self.dim = layout.dim
-        rates = channel_rates_per_us(channels, hardware)
-        ident = sp.identity(self.dim, dtype=complex, format="csr")
-        self._ident = ident
-        always = sp.csr_matrix((self.dim**2, self.dim**2), dtype=complex)
-        for k in range(layout.mode_count):
-            if "motional_dephasing" in rates:
-                l_op = math.sqrt(2.0 * rates["motional_dephasing"]) * hb.number_operator(layout, k)
-                always = always + self._dissipator(l_op)
-            if "heating" in rates:
-                a_dag = hb.annihilation(layout, k).getH()
-                always = always + self._dissipator(math.sqrt(rates["heating"]) * a_dag)
-                if channels.symmetric_heating:
-                    a_op = hb.annihilation(layout, k)
-                    always = always + self._dissipator(math.sqrt(rates["heating"]) * a_op)
-        self.always_on = always
-        self.per_qubit = {}
-        if "laser_dephasing" in rates:
-            for q in range(layout.qubit_count):
-                z = hb.pauli(layout, q, "Z")
-                self.per_qubit[q] = self._dissipator(math.sqrt(rates["laser_dephasing"] / 2.0) * z)
+    Laser Z acts on each of the qubits; the always-on operators act on the mode.
+    """
+    mode_dim = max(cutoff, 1)
+    ops = []
+    if "laser_dephasing" in rates:
+        z = math.sqrt(rates["laser_dephasing"] / 2.0) * sp.diags([1.0, -1.0], dtype=complex)
+        for j in range(n_qubits):
+            left = sp.identity(2**j, dtype=complex)
+            right = sp.identity(2 ** (n_qubits - 1 - j) * mode_dim, dtype=complex)
+            ops.append(sp.kron(sp.kron(left, z), right, format="csr"))
+    if cutoff:
+        a = sp.diags(np.sqrt(np.arange(1.0, cutoff)), offsets=1, dtype=complex)
+        mode_ops = []
+        if "motional_dephasing" in rates:
+            number = sp.diags(np.arange(cutoff, dtype=complex))
+            mode_ops.append(math.sqrt(2.0 * rates["motional_dephasing"]) * number)
+        if "heating" in rates:
+            mode_ops.append(math.sqrt(rates["heating"]) * a.T)
+            if channels.symmetric_heating:
+                mode_ops.append(math.sqrt(rates["heating"]) * a)
+        left = sp.identity(2**n_qubits, dtype=complex)
+        ops += [sp.kron(left, l_op, format="csr") for l_op in mode_ops]
+    return ops
 
-    def _dissipator(self, l_op):
-        l_op = sp.csr_matrix(l_op)
-        ldl = (l_op.getH() @ l_op).tocsr()
-        ident = self._ident
-        return (
-            sp.kron(l_op, l_op.conj(), format="csr")
-            - 0.5 * sp.kron(ldl, ident, format="csr")
-            - 0.5 * sp.kron(ident, ldl.T, format="csr")
-        )
 
-    def for_pulse(self, h_matrix, addressed_qubits):
-        ident = self._ident
-        lio = -1j * (sp.kron(h_matrix, ident, format="csr") - sp.kron(ident, h_matrix.T, format="csr"))
-        lio = lio + self.always_on
-        for q in addressed_qubits:
-            if q in self.per_qubit:
-                lio = lio + self.per_qubit[q]
-        return lio
+def _liouvillian(h, collapse_ops) -> sp.csr_matrix:
+    """-i[h, .] + sum of dissipators, acting on the row-major vec(rho) of h's space."""
+    ident = sp.identity(h.shape[0], dtype=complex, format="csr")
+    lio = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
+    for l_op in collapse_ops:
+        ldl = l_op.getH() @ l_op
+        lio = lio + sp.kron(l_op, l_op.conj()) - 0.5 * sp.kron(ldl, ident) - 0.5 * sp.kron(ident, ldl.T)
+    return lio.tocsr()
+
+
+def _propagator(lio: sp.csr_matrix, t_us: float):
+    """exp(t L) as dense blocks [(indices, block)] when they fit, else the sparse t L."""
+    from scipy.sparse.csgraph import connected_components  # only the noisy path needs it
+
+    graph = abs(lio)
+    graph.eliminate_zeros()
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    if 16 * sum(b.size**2 for b in blocks) > DENSE_BYTES:
+        return t_us * lio
+    return [(b, expm(t_us * lio[b][:, b].toarray())) for b in blocks]
+
+
+def _apply_channel(t: np.ndarray, prop, axes: list, w: np.ndarray | None = None) -> np.ndarray:
+    """Apply a local propagator to the ket and bra ``axes`` of rho's tensor ``t``.
+
+    ``prop`` comes from :func:`_propagator`.  ``w`` holds the phases of Ad(D)
+    on the local (ket, bra) pairs; the propagator applied is Ad(D) prop Ad(D^dag).
+    """
+    half = t.ndim // 2
+    local = axes + [half + a for a in axes]
+    front = list(range(len(local)))
+    m = np.moveaxis(t, local, front)
+    shape = m.shape
+    m = np.ascontiguousarray(m.reshape(math.prod(shape[: len(local)]), -1))
+    if w is not None:
+        m = w.conj()[:, None] * m
+    if sp.issparse(prop):
+        out = expm_multiply(prop, m)
+    else:
+        out = np.empty_like(m)
+        for idx, block in prop:
+            out[idx] = block @ m[idx]
+    if w is not None:
+        out *= w[:, None]
+    return np.moveaxis(out.reshape(shape), front, local)
 
 
 def _check_state(rho, trace_tol=1e-6, eig_tol=1e-6, context=""):
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise NumericalFailureError(f"trace deviated to {tr:.8f} {context}")
-    if np.linalg.eigvalsh(rho).min() < -eig_tol:
+    # twice (Hermitian part + eig_tol I) has a Cholesky factor exactly when the
+    # smallest eigenvalue of the Hermitian part exceeds -eig_tol.  Its
+    # transpose is its conjugate, with the same eigenvalues, and is already in
+    # the column-major order LAPACK factors in place.
+    shifted = rho + rho.conj().T
+    shifted[np.diag_indices_from(shifted)] += 2.0 * eig_tol
+    (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
+    factor, info = potrf(shifted.T, lower=True, clean=False, overwrite_a=True)
+    if info != 0 or not np.isfinite(np.diagonal(factor)).all():
         raise NumericalFailureError(f"density matrix lost positivity {context}")
 
 
@@ -158,22 +232,42 @@ def lindblad_step(
     channels: NoiseChannels,
     hardware: HardwareParams,
     layout,
-    liouvillian: _Liouvillian | None = None,
+    cache: dict | None = None,
     check: bool = True,
 ) -> np.ndarray:
     """Propagate a density matrix through one pulse (or virtual op).
 
     Zero-duration ops apply their unitary on their own tensor factors
-    (:func:`~ionvib.pulses.apply_pulse`); pulses with a duration integrate
-    the full Liouvillian.
+    (:func:`~ionvib.pulses.apply_pulse`).  Pulses with a duration apply
+    exp(t L_loc) on their own factors and the idle-mode channels on the other
+    modes, as in the module docstring.  ``cache`` holds the zero-phase
+    unitaries and propagators by key; it belongs to one :func:`emulate` call,
+    whose channels and hardware it assumes.
     """
+    cache = {} if cache is None else cache
     if pulse.virtual or pulse.duration_us == 0.0:
-        return apply_pulse(rho, pulse, layout, {})
-    lio = liouvillian or _Liouvillian(layout, channels, hardware)
-    h_rad_us = (pulse.angle / pulse.duration_us) * pulse_generator(pulse, layout)
-    full = lio.for_pulse(h_rad_us, pulse.qubits)
-    vec = expm_multiply(full * pulse.duration_us, rho.reshape(-1))
-    rho = vec.reshape(layout.dim, layout.dim)
+        return apply_pulse(rho, pulse, layout, cache)
+    rates = channel_rates_per_us(channels, hardware)
+    t_us = pulse.duration_us
+    axes, d, cutoff = pulse_factors(pulse, layout)
+    key = (pulse.kind, pulse.angle, t_us, cutoff)
+    prop = cache.get(key)
+    if prop is None:
+        h0 = (pulse.angle / t_us) * sp.csr_matrix(base_generator(pulse.kind, cutoff))
+        collapse = _collapse_ops(len(pulse.qubits), cutoff, rates, channels)
+        prop = cache[key] = _propagator(_liouvillian(h0, collapse), t_us)
+    t = _apply_channel(rho.reshape(layout.factors() * 2), prop, axes, np.kron(d, d.conj()))
+    if "motional_dephasing" in rates or "heating" in rates:
+        for k, dk in enumerate(layout.mode_cutoffs):
+            if k == pulse.mode:
+                continue
+            prop = cache.get((dk, t_us))
+            if prop is None:
+                free = sp.csr_matrix((dk, dk), dtype=complex)
+                idle = _liouvillian(free, _collapse_ops(0, dk, rates, channels))
+                prop = cache[(dk, t_us)] = _propagator(idle, t_us)
+            t = _apply_channel(t, prop, [layout.qubit_count + k])
+    rho = t.reshape(rho.shape)
     if check:
         _check_state(rho, context=f"after {pulse.kind} pulse at step {pulse.step}")
     return rho
@@ -192,14 +286,22 @@ def emulate(
     ``grid_steps`` are Trotter-step indices; each run of the real experiment
     stops at one of them, so a single pass with snapshots reproduces the whole
     measured curve.  With a :class:`MeasurementPolicy`, binomially sampled
-    populations and their shot-noise estimates are attached.
+    populations and their shot-noise estimates are attached.  A density matrix
+    that would not fit :data:`RHO_BYTES_LIMIT` with its working copies raises
+    :class:`~ionvib.errors.InvalidModelError` before anything is allocated.
     """
     grid_steps = list(grid_steps)
     layout = hardware_layout(schedule, cutoffs)
-    lio = _Liouvillian(layout, channels, schedule.hardware)
+    need = RHO_COPIES * 16 * layout.dim**2
+    if need > RHO_BYTES_LIMIT:
+        raise InvalidModelError(
+            f"a density matrix of dimension {layout.dim} needs {need} bytes with its working "
+            f"copies, above the {RHO_BYTES_LIMIT}-byte limit"
+        )
+    cache = {}
 
     def step(rho, op):
-        return lindblad_step(rho, op, channels, schedule.hardware, layout, lio, check)
+        return lindblad_step(rho, op, channels, schedule.hardware, layout, cache, check)
 
     psi = hardware_initial_vector(schedule, layout)
     trace = walk_schedule(schedule, layout, np.outer(psi, psi.conj()), grid_steps, step)

@@ -19,8 +19,10 @@ diagonal conjugations, sigma^phi = D X D^dag with D = diag(1, e^{-i phi}) and
 b e^{i phi_m} + b^dag e^{-i phi_m} = D_m (b + b^dag) D_m^dag with
 D_m = diag(e^{-i phi_m n}), so every op is D U0 D^dag with a zero-phase U0
 (2x2, 4x4, 2d x 2d or d x d) that depends only on (kind, angle, cutoff).
-:func:`pulse_generator` still gives the full-space sparse generator, which
-the noisy route's Liouvillian needs.
+The noisy route (:mod:`ionvib.emulator`) builds its local Liouvillians from
+the same zero-phase generators.  :func:`pulse_generator` still gives the
+full-space sparse generator, the reference the tests check both routes
+against.
 
 Qubit encodings.  A two-state model uses one qubit with the simulated basis
 rotated so that the population-difference operator lies in the equatorial
@@ -341,17 +343,6 @@ def _conjugation_ops(axis: np.ndarray):
     phi_c = math.atan2(ex, ey)
     beta = math.atan2(z, rho)
     return beta, phi_c, phi0
-
-
-def _carrier_matrix(phi: float, angle: float) -> np.ndarray:
-    g = np.exp(-1j * phi) * np.array([[0, 0], [1, 0]]) + np.exp(1j * phi) * np.array([[0, 1], [0, 0]])
-    return expm(-0.5j * angle * g)
-
-
-def _sigma_phi_matrix(phi: float) -> np.ndarray:
-    return np.exp(-1j * phi) * np.array([[0, 0], [1, 0]], dtype=complex) + np.exp(
-        1j * phi
-    ) * np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 # --- lowering ------------------------------------------------------------------
@@ -690,8 +681,11 @@ def pulse_generator(pulse: NativePulse, layout):
     raise InvalidModelError(f"unknown pulse kind {pulse.kind!r}")
 
 
-def _base_generator(kind: str, cutoff: int) -> np.ndarray:
-    """Zero-phase generator on an op's own factors: sigma^0 = X, b + b^dag."""
+def base_generator(kind: str, cutoff: int) -> np.ndarray:
+    """Zero-phase unit-angle generator on an op's own factors: sigma^0 = X, b + b^dag.
+
+    Factors are the op's qubits in ``pulse.qubits`` order, then its mode.
+    """
     if kind == "carrier":
         return 0.5 * _X
     if kind == "ms":
@@ -704,13 +698,11 @@ def _base_generator(kind: str, cutoff: int) -> np.ndarray:
     raise InvalidModelError(f"unknown pulse kind {kind!r}")
 
 
-def apply_pulse(state: np.ndarray, pulse: NativePulse, layout, unitaries: dict) -> np.ndarray:
-    """``U = exp(-i angle G)`` of one pulse applied on its own tensor factors.
+def pulse_factors(pulse: NativePulse, layout):
+    """An op's own tensor axes, the diagonal of its phase conjugation D, and its cutoff.
 
-    A vector ``psi`` becomes ``U psi``; a density matrix ``rho`` becomes
-    ``U rho U^dag`` (U on the ket axes, then U* on the bra axes).
-    U = D U0 D^dag as in the module docstring; ``unitaries`` caches the
-    zero-phase U0 by (kind, angle, cutoff) and belongs to one schedule walk.
+    The axes are the op's qubits in ``pulse.qubits`` order, then its mode;
+    the cutoff is 0 for ops without a mode.
     """
     axes = list(pulse.qubits)
     phases = [np.array([1.0, np.exp(-1j * phi)]) for phi in pulse.phis]
@@ -719,11 +711,22 @@ def apply_pulse(state: np.ndarray, pulse: NativePulse, layout, unitaries: dict) 
         cutoff = layout.mode_cutoffs[pulse.mode]
         axes.append(layout.qubit_count + pulse.mode)
         phases.append(np.exp(-1j * pulse.phi_m * np.arange(cutoff)))
+    return axes, reduce(np.kron, phases), cutoff
+
+
+def apply_pulse(state: np.ndarray, pulse: NativePulse, layout, unitaries: dict) -> np.ndarray:
+    """``U = exp(-i angle G)`` of one pulse applied on its own tensor factors.
+
+    A vector ``psi`` becomes ``U psi``; a density matrix ``rho`` becomes
+    ``U rho U^dag`` (U on the ket axes, then U* on the bra axes).
+    U = D U0 D^dag as in the module docstring; ``unitaries`` caches the
+    zero-phase U0 by (kind, angle, cutoff) and belongs to one schedule walk.
+    """
+    axes, d, cutoff = pulse_factors(pulse, layout)
     key = (pulse.kind, pulse.angle, cutoff)
     u0 = unitaries.get(key)
     if u0 is None:
-        u0 = unitaries[key] = expm(-1j * pulse.angle * _base_generator(pulse.kind, cutoff))
-    d = reduce(np.kron, phases)
+        u0 = unitaries[key] = expm(-1j * pulse.angle * base_generator(pulse.kind, cutoff))
     u = d[:, None] * u0 * d.conj()
     factors = layout.factors()
     if state.ndim == 1:

@@ -399,3 +399,13 @@ def test_bad_drive_rwa_exits_2_naming_key(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "(key: rwa)" in err
+
+
+def test_noisy_run_over_memory_budget_exits_1(tmp_path, capsys):
+    # (60, 60) gives a 7200-dim density matrix: refused before anything is allocated
+    args = ["run", "--preset", "toy", "--modes", "2", "--backend", "ion-noisy", "--steps", "4"]
+    args += ["--grid-points", "4", "--cutoffs", "60,60", "--output", str(tmp_path / "out.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bytes" in err
+    assert not (tmp_path / "out.csv").exists()

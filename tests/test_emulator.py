@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from ionvib import hilbert as hb, model, pulses
+from ionvib import emulator, hilbert as hb, model, pulses
 from ionvib.emulator import (
     MeasurementPolicy,
     NoiseChannels,
     _check_state,
-    _Liouvillian,
     attach_shot_noise,
     channel_rates_per_us,
     emulate,
@@ -114,6 +115,25 @@ class TestLindbladStep:
         with pytest.raises(NumericalFailureError):
             _check_state(neg)
 
+    @pytest.mark.parametrize("lam_min,raises", [(-0.5e-6, False), (-2e-6, True)])
+    def test_positivity_check_boundary(self, lam_min, raises):
+        # the check passes exactly when the smallest eigenvalue exceeds -1e-6
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        evals = np.array([lam_min, 0.1, 0.2, 0.2, 0.2, 0.3 - lam_min])
+        rho = (q * evals) @ q.conj().T
+        if raises:
+            with pytest.raises(NumericalFailureError, match="positivity"):
+                _check_state(rho)
+        else:
+            _check_state(rho)
+
+    def test_state_check_rejects_non_finite(self):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = rho[1, 0] = np.nan
+        with pytest.raises(NumericalFailureError):
+            _check_state(rho)
+
 
 class TestScheduleEmulation:
     def test_stop_at_zero_keeps_donor(self):
@@ -129,6 +149,15 @@ class TestScheduleEmulation:
         lind = emulate(sch, NoiseChannels.all_off(), (6, 6), grid)
         comp = compose_ideal(sch, (6, 6), grid)
         assert np.max(np.abs(lind.populations - comp.populations)) < 1e-8
+
+    def test_channels_off_matches_ideal_composition_tightly(self):
+        spec = model.build_toy_model(2, 1.0)
+        sch = build_schedule(spec, 400.0, 120)
+        grid = [3 * g for g in range(41)]
+        lind = emulate(sch, NoiseChannels.all_off(), (8, 8), grid)
+        comp = compose_ideal(sch, (8, 8), grid)
+        assert np.max(np.abs(lind.populations - comp.populations)) <= 1e-12
+        assert np.max(np.abs(lind.leakage - comp.leakage)) <= 1e-12
 
     def test_trace_and_positivity_hold_under_noise(self):
         spec = model.build_toy_model(2, 5.0)
@@ -264,7 +293,7 @@ def test_lindblad_route_against_direct_integration():
     # are scaled up so the dissipators dominate the comparison
     from scipy.integrate import solve_ivp
 
-    from ionvib.emulator import _Liouvillian, channel_rates_per_us
+    from ionvib.emulator import channel_rates_per_us
 
     spec = model.build_toy_model(2, 3.0)
     sch = build_schedule(spec, 400.0, 8)
@@ -272,13 +301,12 @@ def test_lindblad_route_against_direct_integration():
     hw = HardwareParams()
     ch = NoiseChannels(motional_dephasing_scale=50.0, heating_scale=200.0, laser_dephasing_scale=50.0)
     rates = channel_rates_per_us(ch, hw)
-    lio = _Liouvillian(layout, ch, hw)
 
     psi = pulses.hardware_initial_vector(sch, layout)
     rho_fast = np.outer(psi, psi.conj())
     rho_ref = rho_fast.copy()
     for p in sch.ops[:4]:
-        rho_fast = lindblad_step(rho_fast, p, ch, hw, layout, lio, check=True)
+        rho_fast = lindblad_step(rho_fast, p, ch, hw, layout, check=True)
         h = (p.angle / p.duration_us) * pulses.pulse_generator(p, layout).toarray()
         l_ops = []
         for k in range(2):
@@ -323,3 +351,92 @@ def test_noise_pushes_strong_coupling_toward_mean_field():
     d_noisy = trapezoid(np.abs(noisy.populations[:, 0] - mf.populations[:, 0]), ideal.times_fs)
     d_ideal = trapezoid(np.abs(ideal.populations[:, 0] - mf.populations[:, 0]), ideal.times_fs)
     assert d_noisy < d_ideal
+
+
+# --- factored Lindblad step against the full-space Liouvillian -------------------
+
+#: rates scaled up so every dissipator moves rho well above the tolerance
+FACTORED_CHANNELS = {
+    "motional_dephasing": NoiseChannels(True, False, False, motional_dephasing_scale=1e3),
+    "heating": NoiseChannels(False, True, False, heating_scale=1e4),
+    "laser_dephasing": NoiseChannels(False, False, True, laser_dephasing_scale=1e4),
+    "all": NoiseChannels(motional_dephasing_scale=1e3, heating_scale=1e4, laser_dephasing_scale=1e4),
+    "symmetric_heating": NoiseChannels(
+        motional_dephasing_scale=1e3, heating_scale=1e4, laser_dephasing_scale=1e4, symmetric_heating=True
+    ),
+}
+
+
+def _factored_schedules():
+    from test_pulses import _kernel_schedules
+
+    small = {"ci": (3, 2), "vaet": (2, 2, 2), "onehot": (2,), "onehot-physical": (2,), "plet": ()}
+    cases = {name: (sch, small[name]) for name, (sch, _) in _kernel_schedules().items()}
+    cases["toy"] = (build_schedule(model.build_toy_model(2, 3.0), 400.0, 3), (3, 3))
+    return cases
+
+
+def _full_space_liouvillian(op, channels, hw, layout):
+    """Dense row-major vec Liouvillian of one pulse, from full-space operators."""
+    rates = channel_rates_per_us(channels, hw)
+    h = (op.angle / op.duration_us) * pulses.pulse_generator(op, layout).toarray()
+    l_ops = []
+    for k in range(layout.mode_count):
+        a = hb.annihilation(layout, k).toarray()
+        if "motional_dephasing" in rates:
+            l_ops.append(math.sqrt(2 * rates["motional_dephasing"]) * hb.number_operator(layout, k).toarray())
+        if "heating" in rates:
+            l_ops.append(math.sqrt(rates["heating"]) * a.conj().T)
+            if channels.symmetric_heating:
+                l_ops.append(math.sqrt(rates["heating"]) * a)
+    if "laser_dephasing" in rates:
+        for q in op.qubits:
+            l_ops.append(math.sqrt(rates["laser_dephasing"] / 2) * hb.pauli(layout, q, "Z").toarray())
+    ident = np.eye(layout.dim)
+    lio = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for l_op in l_ops:
+        ldl = l_op.conj().T @ l_op
+        lio += np.kron(l_op, l_op.conj()) - 0.5 * np.kron(ldl, ident) - 0.5 * np.kron(ident, ldl.T)
+    return lio
+
+
+@pytest.mark.parametrize("channel", sorted(FACTORED_CHANNELS))
+@pytest.mark.parametrize("name", ["toy", "ci", "vaet", "onehot", "onehot-physical", "plet"])
+def test_factored_lindblad_matches_full_space(name, channel):
+    sch, cutoffs = _factored_schedules()[name]
+    channels = FACTORED_CHANNELS[channel]
+    hw = sch.hardware
+    layout = hb.SpaceLayout(sch.qubit_count, cutoffs)
+    rng = np.random.default_rng(7)
+    cache = {}
+    ops = [op for op in sch.ops if not op.virtual]
+    assert ops and any(op.phi_m or any(op.phis) for op in ops)
+    for op in ops:
+        a = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        lio = _full_space_liouvillian(op, channels, hw, layout)
+        ref = (expm(op.duration_us * lio) @ rho.reshape(-1)).reshape(rho.shape)
+        got = lindblad_step(rho, op, channels, hw, layout, cache)
+        assert np.abs(got - ref).max() <= 1e-12, op
+
+
+def test_sparse_fallback_matches_dense_path(monkeypatch):
+    sch = build_schedule(model.build_toy_model(2, 3.0), 400.0, 3)
+    layout = hb.SpaceLayout(1, (4, 3))
+    channels = FACTORED_CHANNELS["all"]
+    psi = pulses.hardware_initial_vector(sch, layout)
+
+    def run(cache):
+        rho = np.outer(psi, psi.conj())
+        for op in sch.ops:
+            rho = lindblad_step(rho, op, channels, sch.hardware, layout, cache)
+        return rho
+
+    dense_cache, sparse_cache = {}, {}
+    dense = run(dense_cache)
+    monkeypatch.setattr(emulator, "DENSE_BYTES", 0)
+    sparse = run(sparse_cache)
+    assert not any(sp.issparse(v) for v in dense_cache.values())
+    assert all(sp.issparse(v) for v in sparse_cache.values())
+    assert np.abs(sparse - dense).max() <= 1e-12

@@ -217,11 +217,12 @@ class TestFrameBookkeeping:
         spec = model.build_ci_model(0.02, 0.02, 0.08, 0.08)
         sch = build_schedule(spec, 400.0, 4)
         assert any(p.virtual for p in sch.ops)
+        qubit = hb.SpaceLayout(1, ())
         for step in range(sch.steps):
             virt = [p for p in sch.ops if p.step == step and p.virtual]
             prod = np.eye(2, dtype=complex)
             for p in virt:
-                prod = pulses._carrier_matrix(p.phis[0], p.angle) @ prod
+                prod = np.column_stack([pulses.apply_pulse(col, p, qubit, {}) for col in prod.T])
             assert np.allclose(prod, np.eye(2), atol=1e-12)
 
     def test_correction_restores_measurement_basis_at_zero(self):
@@ -410,8 +411,9 @@ class TestConjugationProperties:
         assume(r > 1e-6)
         n = n / r
         beta, phi_c, phi0 = pulses._conjugation_ops(n)
-        c_mat = pulses._carrier_matrix(phi_c, beta)
-        got = c_mat @ pulses._sigma_phi_matrix(phi0) @ c_mat.conj().T
+        qubit = hb.SpaceLayout(1, ())
+        carrier = pulses.NativePulse(0, "carrier", (0,), None, (phi_c,), 0.0, beta, 0.0, 0.0, True, "virt")
+        got = pulses.apply_pulse(hb.sigma_phi(qubit, 0, phi0).toarray(), carrier, qubit, {})
         x_p = np.array([[0, 1], [1, 0]], dtype=complex)
         y_p = np.array([[0, -1j], [1j, 0]])
         z_p = np.diag([1.0, -1.0]).astype(complex)
