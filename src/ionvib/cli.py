@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import config as cfg
 from . import ehrenfest as ehr
 from . import emulator, estimator, exact, pulses, trace
@@ -88,11 +90,11 @@ def _parse_cutoffs(section: dict):
     return tuple(cfg.parse_value(section, "cutoffs", cfg.ints)) or None
 
 
-def _point_count(section: dict, key: str) -> int:
-    points = cfg.parse_value(section, key, int)
-    if points < 1:
-        raise ConfigError(f"need at least one time point, got {points}", key=key)
-    return points
+def _at_least(section: dict, key: str, minimum: int) -> int:
+    value = cfg.parse_value(section, key, int)
+    if value < minimum:
+        raise ConfigError(f"must be at least {minimum}, got {value}", key=key)
+    return value
 
 
 def execute_run(run_cfg: cfg.RunConfig) -> dict:
@@ -101,7 +103,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     backend = run["backend"]
     output = run["output"]
     tau_fs = cfg.parse_value(run, "tau_fs")
-    points = _point_count(run, "grid_points")
+    points = _at_least(run, "grid_points", 1)
     seed = cfg.parse_value(run, "seed", int)
     initial = cfg.parse_value(run, "initial_state", int)
     diagnostics = {}
@@ -111,8 +113,8 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         plan = estimator.ExperimentPlan(
             lambdas=tuple(cfg.parse_value(est, "lambdas", cfg.floats)),
             mode_counts=tuple(cfg.parse_value(est, "modes_list", cfg.ints)),
-            runs_per_point=cfg.parse_value(est, "runs_per_point", int),
-            time_points=_point_count(est, "time_points"),
+            runs_per_point=_at_least(est, "runs_per_point", 1),
+            time_points=_at_least(est, "time_points", 1),
             tau_fs=tau_fs,
             trotter_steps=cfg.parse_value(est, "trotter_steps", int),
             hardware=run_cfg.hardware(),
@@ -202,7 +204,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
             heating=cfg.parse_bool(ion, "heating"),
             laser_dephasing=cfg.parse_bool(ion, "laser_dephasing"),
         )
-        runs = cfg.parse_value(ion, "runs_per_point", int)
+        runs = _at_least(ion, "runs_per_point", 0)  # 0: no shot sampling
         policy = emulator.MeasurementPolicy(runs_per_point=runs, seed=seed) if runs > 0 else None
         result = emulator.emulate(
             schedule, channels, cutoffs, grid_steps, policy=policy, check=cfg.parse_bool(ion, "check")
@@ -318,7 +320,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        gap = ""
+        if exc.last is not None and exc.previous is not None:
+            gap = f"; the last two iterates differ by max |dP| = {np.max(np.abs(exc.last - exc.previous)):.3g}"
+        print(f"error: {exc}{gap}", file=sys.stderr)
         return 3
     except (InfeasibleScheduleError, UnsupportedChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

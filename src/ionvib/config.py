@@ -133,9 +133,22 @@ def _envelope(section: dict) -> Envelope:
     )
 
 
-def _tuples(kind, sep: str):
-    """Parser for whitespace-separated tuples such as ``0:1 1:2``."""
-    return lambda text: tuple(tuple(kind(x) for x in tok.split(sep)) for tok in text.split())
+def _pairs(kind, sep: str):
+    """Parser for whitespace-separated pairs such as ``0:1 1:2``."""
+
+    def pair(tok):
+        a, b = tok.split(sep)  # ValueError unless exactly two parts
+        return kind(a), kind(b)
+
+    return lambda text: tuple(pair(tok) for tok in text.split())
+
+
+def _sized(section: dict, key: str, kind, count: int, default=None) -> list:
+    """:func:`parse_value` of a list that must hold exactly ``count`` values."""
+    values = parse_value(section, key, kind, default)
+    if len(values) != count:
+        raise ConfigError(f"need {count} values, got {len(values)}", key=key)
+    return values
 
 
 def _spec_from_model(model: dict, sections) -> LvcmSpec:
@@ -174,17 +187,17 @@ def _spec_from_model(model: dict, sections) -> LvcmSpec:
         raise ConfigError(f"unknown model preset {preset!r}", key="preset")
     m = parse_value(model, "states", int)
     n = parse_value(model, "modes", int)
-    delta = np.array(parse_value(model, "delta_ev", _complexes), dtype=complex).reshape(m, m)
-    kappa_list = parse_value(model, "kappa_ev", _complexes, "") if n else []
+    delta = np.array(_sized(model, "delta_ev", _complexes, m * m), dtype=complex).reshape(m, m)
+    kappa_list = _sized(model, "kappa_ev", _complexes, m * m * n, "") if n else []
     kappa = np.array(kappa_list, dtype=complex).reshape(m, m, n) if n else np.zeros((m, m, 0))
-    nu_ev = np.array(parse_value(sections["modes"], "nu_ev", floats)) if n else np.zeros(0)
+    nu_ev = np.array(_sized(sections["modes"], "nu_ev", floats, n)) if n else np.zeros(0)
     labels = tuple(model["labels"].split()) if "labels" in model else None
     drive = None
     if "drive" in sections:
         d = sections["drive"]
         drive = DriveSpec(
-            transitions=parse_value(d, "transitions", _tuples(int, ":")),
-            dipoles=parse_value(d, "dipoles", _tuples(float, ",")),
+            transitions=parse_value(d, "transitions", _pairs(int, ":")),
+            dipoles=parse_value(d, "dipoles", _pairs(float, ",")),
             polarization=tuple(parse_value(d, "polarization", _complexes)),
             carrier_rad_per_fs=ev_to_rad_per_fs(parse_value(d, "carrier_ev")),
             envelope=_envelope(d),
@@ -243,7 +256,7 @@ def hardware_from_sections(sections) -> HardwareParams:
     if not h:
         return defaults
 
-    pairs = _tuples(float, ":")
+    pairs = _pairs(float, ":")
     cal = dict(defaults.duration_calibration)
     if "duration_slope_us_per_rad" in h or "duration_floor_us" in h:
         slopes = {int(k): v for k, v in parse_value(h, "duration_slope_us_per_rad", pairs, "")} or {
@@ -253,7 +266,7 @@ def hardware_from_sections(sections) -> HardwareParams:
             n: f for n, (_, f) in cal.items()
         }
         cal = {n: (slopes[n], floors.get(n, 0.0)) for n in slopes}
-    rabi = parse_value(h, "sideband_rabi_khz", floats) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
+    rabi = _sized(h, "sideband_rabi_khz", floats, 2) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
     return HardwareParams(
         mode_frequency_bands_mhz=parse_value(h, "mode_frequency_bands_mhz", pairs)
         if "mode_frequency_bands_mhz" in h

@@ -246,7 +246,6 @@ class QubitMapping:
     state_count: int
     rephase: tuple  # per-state phase factors applied before encoding
     frame_z: tuple  # per-qubit hardware-Z frame coefficient g_q: H0 = sum g_q Z_q
-    delta_w: float = 0.0  # dense only: electronic coupling magnitude (rad/fs)
 
     def hw_index(self, state: int) -> int:
         if self.encoding == "dense":
@@ -290,7 +289,6 @@ def map_spec(spec: LvcmSpec) -> QubitMapping:
             state_count=2,
             rephase=rephase,
             frame_z=(abs(half),),
-            delta_w=2.0 * abs(half),
         )
     if m < 2:
         raise InvalidModelError("schedules need at least two electronic states")
@@ -353,112 +351,69 @@ class _Lowerer:
         self.spec = spec
         self.mapping = mapping
         self.hw = hardware
-        self.n_ions = n_ions
         self.physical = physical_rotations
         self.slope, self.floor = hardware.calibration_for(n_ions)
         self.rabi_max_rad_us = hardware.sideband_rabi_khz[1] * 1e-3 * TWO_PI
         self.carrier_rad_us = hardware.carrier_rabi_khz * 1e-3 * TWO_PI
 
-    # -- duration models
-
-    def _sideband_duration(self, angle: float) -> float:
-        return max(self.floor, self.slope * angle)
-
-    def _sdf(self, step, qubit, mode, phi, phi_m, angle, tag="eq"):
+    def _op(self, step, kind, qubits, mode, phis, phi_m, angle, virtual=False, tag="eq"):
+        """One native op as a list, empty for a zero angle."""
         angle = float(angle)
-        if angle < 0:
-            angle, phi = -angle, phi + math.pi
-        if angle < 1e-15:
-            return []
-        dur = self._sideband_duration(angle)
-        rabi = 2.0 * angle / dur / (1e-3 * TWO_PI)
-        return [NativePulse(step, "sdf", (qubit,), mode, (phi,), phi_m, angle, dur, rabi, False, tag)]
-
-    def _disp(self, step, mode, phi_m, angle):
-        angle = float(angle)
-        if angle < 0:
-            angle, phi_m = -angle, phi_m + math.pi
-        if angle < 1e-15:
-            return []
-        dur = self._sideband_duration(angle)
-        rabi = 2.0 * angle / dur / (1e-3 * TWO_PI)
-        return [NativePulse(step, "disp", (), mode, (), phi_m, angle, dur, rabi, False, "eq")]
-
-    def _ms(self, step, q1, q2, phi1, phi2, angle, tag="eq", virtual=False):
-        angle = float(angle)
-        if angle < 0:
-            angle, phi1 = -angle, phi1 + math.pi
+        if angle < 0:  # fold the sign into the first spin phase (into phi_m for disp)
+            angle = -angle
+            if kind == "disp":
+                phi_m = phi_m + math.pi
+            else:
+                phis = (phis[0] + math.pi, *phis[1:])
         if angle < 1e-15:
             return []
         if virtual and not self.physical:
-            return [NativePulse(step, "ms", (q1, q2), None, (phi1, phi2), 0.0, angle, 0.0, 0.0, True, "virt")]
-        dur = self._sideband_duration(angle)
-        # loop-closing detuning 2 pi / t; implied sideband Rabi sqrt(J * delta)
-        j_rate = 2.0 * angle / dur
-        rabi_rad_us = math.sqrt(j_rate * TWO_PI / dur)
-        rabi_khz = rabi_rad_us / (1e-3 * TWO_PI)
-        if rabi_rad_us > self.rabi_max_rad_us:
-            raise InfeasibleScheduleError(
-                f"ms pulse at step {step} on qubits ({q1},{q2}) needs "
-                f"{rabi_khz:.2f} kHz sideband Rabi, above the "
-                f"{self.hw.sideband_rabi_khz[1]} kHz ceiling"
-            )
-        return [NativePulse(step, "ms", (q1, q2), None, (phi1, phi2), 0.0, angle, dur, rabi_khz, False, tag)]
+            return [NativePulse(step, kind, qubits, mode, phis, phi_m, angle, 0.0, 0.0, True, "virt")]
+        dur = angle / self.carrier_rad_us if kind == "carrier" else max(self.floor, self.slope * angle)
+        if kind == "carrier":
+            rabi_khz = self.hw.carrier_rabi_khz
+        elif kind == "ms":
+            # loop-closing detuning 2 pi / t; implied sideband Rabi sqrt(J * delta)
+            rabi_rad_us = math.sqrt(2.0 * angle / dur * TWO_PI / dur)
+            rabi_khz = rabi_rad_us / (1e-3 * TWO_PI)
+            if rabi_rad_us > self.rabi_max_rad_us:
+                raise InfeasibleScheduleError(
+                    f"ms pulse at step {step} on qubits ({qubits[0]},{qubits[1]}) needs "
+                    f"{rabi_khz:.2f} kHz sideband Rabi, above the "
+                    f"{self.hw.sideband_rabi_khz[1]} kHz ceiling"
+                )
+        else:  # sdf and disp
+            rabi_khz = 2.0 * angle / dur / (1e-3 * TWO_PI)
+        return [NativePulse(step, kind, qubits, mode, phis, phi_m, angle, dur, rabi_khz, False, tag)]
 
-    def _carrier(self, step, qubit, phi, angle, virtual=False, tag="eq"):
-        angle = float(angle)
-        if angle < 0:
-            angle, phi = -angle, phi + math.pi
-        if angle < 1e-15:
-            return []
-        if virtual and not self.physical:
-            return [NativePulse(step, "carrier", (qubit,), None, (phi,), 0.0, angle, 0.0, 0.0, True, "virt")]
-        dur = angle / self.carrier_rad_us
-        rabi = self.hw.carrier_rabi_khz
-        return [NativePulse(step, "carrier", (qubit,), None, (phi,), 0.0, angle, dur, rabi, False, tag)]
+    def _conjugated(self, step, kind, qubit, mode, axis, phi_m, angle):
+        """A carrier or sdf about a hardware Pauli axis (unit 3-vector), via carrier conjugation.
 
-    # -- frame helpers
-
-    def _dense_phase(self, t_fs: float) -> float:
-        """Spin phase of the equatorial frame at simulated time t (dense encoding)."""
-        return self.mapping.delta_w * t_fs
-
-    def _conjugated_sdf(self, step, qubit, mode, axis, phi_m, angle, t_fs):
-        """sdf about an arbitrary qubit axis, via carrier conjugation.
-
-        ``axis`` is the hardware Pauli axis (unit 3-vector) of the generator at
-        the pulse's simulated time.  A pure-equatorial axis lowers to a single
-        sdf; otherwise the sdf is sandwiched between two opposite carrier
-        rotations (virtual by default).
+        An equatorial axis lowers to the op alone; any other axis puts it
+        between two opposite carrier rotations C (virtual by default).
         """
         beta, phi_c, phi0 = _conjugation_ops(axis)
         if beta == 0.0:
-            return self._sdf(step, qubit, mode, phi0, phi_m, angle)
-        # time order: C^dag first, the sdf, then C (net evolution C U C^dag)
-        ops = []
-        ops += self._carrier(step, qubit, phi_c, -beta, virtual=True, tag="conj")
-        ops += self._sdf(step, qubit, mode, phi0, phi_m, angle, tag="conj")
-        ops += self._carrier(step, qubit, phi_c, beta, virtual=True, tag="conj")
-        return ops
+            return self._op(step, kind, (qubit,), mode, (phi0,), phi_m, angle)
+        # time order: C^dag first, the op, then C (net evolution C U C^dag)
+        return [
+            *self._op(step, "carrier", (qubit,), None, (phi_c,), 0.0, -beta, virtual=True, tag="conj"),
+            *self._op(step, kind, (qubit,), mode, (phi0,), phi_m, angle, tag="conj"),
+            *self._op(step, "carrier", (qubit,), None, (phi_c,), 0.0, beta, virtual=True, tag="conj"),
+        ]
 
-    def _mode_phase(self, mode: int, t_fs: float) -> float:
-        return -self.spec.nu[mode] * t_fs
-
-    # -- term lowering
+    # -- term lowering; frame phases: dense spin 2 g t, mode -nu_k t
 
     def lower(self, term: TrotterTerm) -> list:
-        kind = term.kind
-        if kind == "energy":
+        if term.kind == "energy":
             return self._lower_energy(term)
-        if kind == "dcoup":
+        if term.kind == "dcoup":
             return self._lower_dcoup(term)
-        if kind == "delta":
-            return self._lower_pair(term, term.coeff, mode=None)
-        if kind == "ocoup":
-            return self._lower_pair(term, term.coeff, mode=term.mode)
-        if kind == "drive":
-            return self._lower_pair(term, term.coeff, mode=None)
-        raise InvalidModelError(f"cannot lower term kind {kind!r}")
+        if term.kind in ("delta", "ocoup", "drive"):
+            if self.mapping.encoding == "dense":
+                return self._lower_pair_dense(term)
+            return self._lower_pair_onehot(term)
+        raise InvalidModelError(f"cannot lower term kind {term.kind!r}")
 
     def _lower_energy(self, term):
         if self.mapping.encoding == "onehot":
@@ -467,49 +422,38 @@ class _Lowerer:
         if abs(e_diff) < 1e-15:
             return []
         # (E_D - E_A)/2 Z_sim -> equatorial carrier in the rotating frame
-        phi = self._dense_phase(term.t_mid_fs)
-        return self._carrier(term.step, 0, phi, e_diff * term.dt_fs)
+        phi = 2.0 * self.mapping.frame_z[0] * term.t_mid_fs
+        return self._op(term.step, "carrier", (0,), None, (phi,), 0.0, e_diff * term.dt_fs)
 
     def _lower_dcoup(self, term):
         k = term.mode
-        phi_m = self._mode_phase(k, term.t_mid_fs)
-        ops = []
+        phi_m = -self.spec.nu[k] * term.t_mid_fs
         if self.mapping.encoding == "dense":
             c_z = (term.diag[0] - term.diag[1]) / 2.0
             c_i = (term.diag[0] + term.diag[1]) / 2.0
-            phi = self._dense_phase(term.t_mid_fs)
-            ops += self._sdf(term.step, 0, k, phi, phi_m, c_z * term.dt_fs)
-            ops += self._disp(term.step, k, phi_m, c_i * term.dt_fs)
-            return ops
+            phi = 2.0 * self.mapping.frame_z[0] * term.t_mid_fs
+            return [
+                *self._op(term.step, "sdf", (0,), k, (phi,), phi_m, c_z * term.dt_fs),
+                *self._op(term.step, "disp", (), k, (), phi_m, c_i * term.dt_fs),
+            ]
+        ops = []
         trace_part = 0.0
         for i, kappa_i in enumerate(term.diag):
             if abs(kappa_i) < 1e-15:
                 continue
             # kappa (I - Z_i)/2 (x) B: Z part is axis -z with weight kappa/2
-            ops += self._conjugated_sdf(
-                term.step, i, k, np.array([0.0, 0.0, -1.0]), phi_m, kappa_i * term.dt_fs / 2.0,
-                term.t_mid_fs,
-            )
+            axis = np.array([0.0, 0.0, -1.0])
+            ops += self._conjugated(term.step, "sdf", i, k, axis, phi_m, kappa_i * term.dt_fs / 2.0)
             trace_part += kappa_i / 2.0
-        ops += self._disp(term.step, k, phi_m, trace_part * term.dt_fs)
+        ops += self._op(term.step, "disp", (), k, (), phi_m, trace_part * term.dt_fs)
         return ops
 
-    def _lower_pair(self, term, coeff, mode):
-        i, j = term.states
-        if self.mapping.encoding == "dense":
-            return self._lower_pair_dense(term, coeff, mode)
-        # interaction-picture coefficient picks up the energy-frame phase
-        e = [-2.0 * g for g in self.mapping.frame_z]  # E_i values
-        c_t = coeff * np.exp(1j * (e[i] - e[j]) * term.t_mid_fs)
-        if mode is None:  # delta and drive terms are purely electronic
-            return self._pair_ms(term, i, j, c_t)
-        return self._pair_sdf(term, i, j, c_t, mode)
-
-    def _lower_pair_dense(self, term, coeff, mode):
+    def _lower_pair_dense(self, term):
+        """A drive (carrier) or off-diagonal coupling (sdf) about its axis in the frame."""
         if term.kind == "delta":
             return []  # the dense electronic coupling is the frame itself
         # rephased coefficient, then conjugate the generator into the frame
-        c = coeff * self.mapping.rephase[0] * np.conj(self.mapping.rephase[1])
+        c = term.coeff * self.mapping.rephase[0] * np.conj(self.mapping.rephase[1])
         g_sim = np.real(c) * _X + np.imag(c) * _Y  # on (|D>, |A>)
         g_hw = _H @ g_sim @ _H
         t = term.t_mid_fs
@@ -518,47 +462,42 @@ class _Lowerer:
         axis, r = _axis_of(g_rot)
         if r < 1e-15:
             return []
-        axis = axis / r
-        if mode is None:
-            # pure electronic rotation: conjugated carrier
-            beta, phi_c, phi0 = _conjugation_ops(axis)
-            ops = []
-            if beta == 0.0:
-                return self._carrier(term.step, 0, phi0, 2.0 * r * term.dt_fs)
-            ops += self._carrier(term.step, 0, phi_c, -beta, virtual=True, tag="conj")
-            ops += self._carrier(term.step, 0, phi0, 2.0 * r * term.dt_fs, tag="conj")
-            ops += self._carrier(term.step, 0, phi_c, beta, virtual=True, tag="conj")
-            return ops
-        phi_m = self._mode_phase(mode, t)
-        return self._conjugated_sdf(term.step, 0, mode, axis, phi_m, r * term.dt_fs, t)
+        if term.mode is None:  # the carrier generator is sigma/2
+            return self._conjugated(term.step, "carrier", 0, None, axis / r, 0.0, 2.0 * r * term.dt_fs)
+        phi_m = -self.spec.nu[term.mode] * t
+        return self._conjugated(term.step, "sdf", 0, term.mode, axis / r, phi_m, r * term.dt_fs)
 
-    def _pair_ms(self, term, i, j, c_t):
-        """c sigma+_i sigma-_j + h.c. as a commuting XX/YY-style ms pair."""
+    def _lower_pair_onehot(self, term):
+        """(c sigma+_i sigma-_j + h.c.), times B for ocoup, as two commuting halves.
+
+        delta and drive terms are an XX/YY-style ms pair.  Each ocoup half is an
+        sdf on qubit j conjugated by C = carrier_j(b+pi/2, -pi/2) . ms(a, b+pi/2,
+        pi/4), which maps sigma^b_j to sigma^a_i sigma^b_j; the ops realize
+        C U_sdf C^dag (verified numerically in the test suite).
+        """
+        i, j = term.states
+        # interaction-picture coefficient picks up the energy-frame phase
+        e = [-2.0 * g for g in self.mapping.frame_z]  # E_i values
+        c_t = term.coeff * np.exp(1j * (e[i] - e[j]) * term.t_mid_fs)
         delta_phase = np.angle(c_t)
         theta = abs(c_t) * term.dt_fs / 2.0
+        step = term.step
+        if term.mode is None:
+            # written out, not looped over shifts: a zero phase stays -0.0 here
+            return [
+                *self._op(step, "ms", (i, j), None, (-delta_phase, 0.0), 0.0, theta),
+                *self._op(step, "ms", (i, j), None, (-delta_phase - math.pi / 2.0, -math.pi / 2.0), 0.0, theta),
+            ]
+        phi_m = -self.spec.nu[term.mode] * term.t_mid_fs
         ops = []
-        ops += self._ms(term.step, i, j, -delta_phase, 0.0, theta)
-        ops += self._ms(term.step, i, j, -delta_phase - math.pi / 2.0, -math.pi / 2.0, theta)
-        return ops
-
-    def _pair_sdf(self, term, i, j, c_t, mode):
-        """(c sigma+_i sigma-_j + h.c.) (x) B via two ms-conjugated sdf halves."""
-        delta_phase = np.angle(c_t)
-        theta = abs(c_t) * term.dt_fs / 2.0
-        phi_m = self._mode_phase(mode, term.t_mid_fs)
-        ops = []
-        for shift in (0.0, -math.pi / 2.0):
-            a = -delta_phase + shift
-            b = shift
-            # conjugator C = carrier_j(b+pi/2, -pi/2) . ms(a, b+pi/2, pi/4) maps
-            # sigma^b_j to sigma^a_i sigma^b_j; ops below realize C U_sdf C^dag
-            # (verified numerically in the test suite)
+        for b in (0.0, -math.pi / 2.0):
+            a = -delta_phase + b
             pc = b + math.pi / 2.0
-            ops += self._carrier(term.step, j, pc, math.pi / 2.0, virtual=True, tag="conj")
-            ops += self._ms(term.step, i, j, a, pc, -math.pi / 4.0, tag="conj", virtual=True)
-            ops += self._sdf(term.step, j, mode, b, phi_m, theta, tag="conj")
-            ops += self._ms(term.step, i, j, a, pc, math.pi / 4.0, tag="conj", virtual=True)
-            ops += self._carrier(term.step, j, pc, -math.pi / 2.0, virtual=True, tag="conj")
+            ops += self._op(step, "carrier", (j,), None, (pc,), 0.0, math.pi / 2.0, virtual=True, tag="conj")
+            ops += self._op(step, "ms", (i, j), None, (a, pc), 0.0, -math.pi / 4.0, virtual=True, tag="conj")
+            ops += self._op(step, "sdf", (j,), term.mode, (b,), phi_m, theta, tag="conj")
+            ops += self._op(step, "ms", (i, j), None, (a, pc), 0.0, math.pi / 4.0, virtual=True, tag="conj")
+            ops += self._op(step, "carrier", (j,), None, (pc,), 0.0, -math.pi / 2.0, virtual=True, tag="conj")
         return ops
 
 
@@ -644,7 +583,6 @@ def build_schedule(
     hardware = hardware or HardwareParams()
     mapping = map_spec(spec)
     n_ions = ions_for(spec)
-    hardware.calibration_for(n_ions)  # raises early for unsupported chains
     low = _Lowerer(spec, mapping, hardware, n_ions, physical_rotations)
     ops = []
     for term in trotterize(spec, tau_fs, steps):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from ionvib import config as cfg
+from ionvib import hilbert as hb
 from ionvib import model
 from ionvib.cli import main
 from ionvib.errors import ConfigError
@@ -321,10 +324,51 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
             "grid_points",
         ),
         ("[run]\nbackend = estimate\n[estimate]\ntime_points = 0\n", ["run", "--config", "{ini}"], "time_points"),
+        (
+            "[hardware]\nsideband_rabi_khz = 1.47\n",
+            ["compile", "--preset", "toy", "--steps", "4", "--hardware", "{ini}"],
+            "sideband_rabi_khz",
+        ),
+        (
+            "[hardware]\nduration_slope_us_per_rad = 2\n",
+            ["compile", "--preset", "toy", "--steps", "4", "--hardware", "{ini}"],
+            "duration_slope_us_per_rad",
+        ),
+        (
+            "[model]\nstates = 2\nmodes = 0\ndelta_ev = 0 0.01 0.01\n",
+            ["run", "--model-file", "{ini}", "--backend", "exact"],
+            "delta_ev",
+        ),
+        (
+            "[model]\nstates = 2\nmodes = 1\ndelta_ev = 0 0.01 0.01 0\nkappa_ev = 0.01 0 0\n[modes]\nnu_ev = 0.05\n",
+            ["run", "--model-file", "{ini}", "--backend", "exact"],
+            "kappa_ev",
+        ),
+        (
+            "[model]\nstates = 2\nmodes = 1\ndelta_ev = 0 0.01 0.01 0\nkappa_ev = 0.01 0 0 -0.01\n"
+            "[modes]\nnu_ev = 0.05 0.06\n",
+            ["run", "--model-file", "{ini}", "--backend", "exact"],
+            "nu_ev",
+        ),
+        (
+            "[model]\nstates = 2\nmodes = 0\ndelta_ev = 0 0.01 0.01 0\n"
+            "[drive]\ntransitions = 0\ndipoles = 1,0\npolarization = 1 1j\ncarrier_ev = 2.0\n",
+            ["run", "--model-file", "{ini}", "--backend", "exact"],
+            "transitions",
+        ),
+        (None, ["estimate", "--lambdas", "1", "--modes-list", "2", "--runs", "0"], "runs_per_point"),
+        (
+            None,
+            ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "4", "--cutoffs", "4,4", "--runs", "-1"]
+            + ["--grid-points", "4"],
+            "runs_per_point",
+        ),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
         "grid-0-exact", "grid-neg-exact", "grid-0-ehrenfest", "grid-0-ion", "estimate-time-points-0",
+        "hardware-rabi-one-value", "hardware-slope-no-chain", "model-delta-count", "model-kappa-count",
+        "model-nu-count", "model-transition-one-state", "estimate-runs-0", "ion-runs-neg",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
@@ -399,6 +443,18 @@ def test_bad_drive_rwa_exits_2_naming_key(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "(key: rwa)" in err
+
+
+def test_convergence_failure_reports_iterate_gap(tmp_path, capsys, monkeypatch):
+    # toy N=1 at lambda 1 converges at cutoff 10 (dim 20); a limit of 16 stops the
+    # search after its second base run
+    monkeypatch.setattr(hb, "DIM_LIMIT", 16)
+    args = ["run", "--preset", "toy", "--modes", "1", "--backend", "exact", "--grid-points", "8"]
+    assert main([*args, "--output", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    gap = re.search(r"the last two iterates differ by max \|dP\| = (\S+)$", err.strip())
+    assert err.startswith("error: dimension limit reached") and gap
+    assert float(gap.group(1)) == pytest.approx(0.1415, abs=1e-3)
 
 
 def test_noisy_run_over_memory_budget_exits_1(tmp_path, capsys):

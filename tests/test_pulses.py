@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -392,6 +393,63 @@ def test_serialization_golden():
     )
     assert sch.serialize() == expected
 
+
+def _golden_schedules():
+    """One schedule per lowering path, at a few Trotter steps each."""
+    pol = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    envs = {
+        "const": model.Envelope("constant", amplitude=1.0),
+        "gauss": model.Envelope("gaussian", amplitude=0.7, center_fs=200.0, width_fs=80.0),
+    }
+    vaet = model.build_vaet_model(0.0, 0.02, 0.03, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
+    # two-state driven model: the dense encoding's conjugated carrier path
+    kappa = np.zeros((2, 2, 1), complex)
+    kappa[0, 0, 0], kappa[1, 1, 0] = EV(0.01), EV(-0.01)
+    drive = model.DriveSpec(((0, 1),), ((0.012, 0.0),), pol, EV(2.0), envs["gauss"], rotating_states=(1,))
+    dense_drive = model.LvcmSpec([[0.0, EV(0.006)], [EV(0.006), EV(2.01)]], kappa, [EV(0.05)], drive=drive)
+    # equal-energy one-hot pair: its ocoup halves have an exact zero coupling phase
+    kappa = np.zeros((3, 3, 1), complex)
+    kappa[0, 2, 0] = kappa[2, 0, 0] = EV(0.008)
+    cases = {
+        "ci": (model.build_ci_model(0.02, 0.02, 0.08, 0.08), None, False),
+        "vaet": (vaet, None, False),
+        "dense-drive": (dense_drive, RELAXED, False),
+        "onehot-zero-phase": (model.LvcmSpec(np.zeros((3, 3)), kappa, [EV(0.05)]), RELAXED, False),
+    }
+    for phase in (0.0, 0.6):
+        for physical in (False, True):
+            cases[f"onehot-{phase}-physical-{physical}"] = (onehot_spec(phase), RELAXED, physical)
+    for env in envs:
+        for rwa in (True, False):
+            plet = model.build_plet_model(
+                (0.0, 2.00, 2.02, 1.98), (0.012, 0.0), (0.0, 0.012), 0.01, 0.01, pol, 2.00, envs[env], rwa=rwa
+            )
+            cases[f"plet-{env}-{'rwa' if rwa else 'lab'}"] = (plet, RELAXED, False)
+    return cases
+
+
+SCHEDULE_SHA256 = {
+    "ci": "44f58409ca8bc55b039fd4bb2a24115bb1783fec5dcbc5dad2b873aca76f21d5",
+    "dense-drive": "b28313704ad635234ce98070d01633c74bf39cac18c1714b00f6a6e42e6b21b3",
+    "onehot-0.0-physical-False": "ab75482173bf49298710046c07d2318d725b49818df6f26f69750883d99bcd91",
+    "onehot-0.0-physical-True": "8fae348a81cf50c434bf98d1e9e62de7b7e11f64f64999c3973f26825346358c",
+    "onehot-0.6-physical-False": "7314bbe001d35671214e29f9b21778a8ed13019d9e91795e4870dfa090e768a7",
+    "onehot-0.6-physical-True": "5e08f0aed0ceb1dd919d0e54ae49387e6740a3753a8b4e97d99ddafb2f91abb9",
+    "onehot-zero-phase": "2002b20344d7222b781a0c5b20912e122a4a7ab56c2126af7bfd04585effaef3",
+    "plet-const-lab": "17742958eb105bb1bea0954c2e2ff6c8bca417b82c3d2705869e99f8c97c4669",
+    "plet-const-rwa": "0007463a23a18aae73bed2ebf4d3ae04d327403bfc34424376861fd578d567e3",
+    "plet-gauss-lab": "5635eb5936d36e199f85f1d53217f10ac4cb7c48f99db9a7e2436b869b05d2bc",
+    "plet-gauss-rwa": "d0485041e5702420fcbfb0d295d6686f3d8579cddf515febc4df0088990ffb96",
+    "vaet": "c61122aa83e9db106412b5fd4e6d1c86ffed4ae65ed146e75ecf8d89a30f0437",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
+def test_serialization_golden_every_path(name):
+    # frozen bytes of each lowering path, signed zeros included
+    spec, hardware, physical = _golden_schedules()[name]
+    text = build_schedule(spec, 400.0, 6, hardware=hardware, physical_rotations=physical).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[name]
 
 class TestConjugationProperties:
     from hypothesis import given, settings
