@@ -97,6 +97,11 @@ def _at_least(section: dict, key: str, minimum: int) -> int:
     return value
 
 
+def _search_diagnostics(tried) -> dict:
+    """Sidecar entries for a cutoff search: distinct runs, and the tuples tried in order."""
+    return {"search_runs": len(tried), "search_cutoffs": " ".join(",".join(map(str, t)) for t in tried)}
+
+
 def execute_run(run_cfg: cfg.RunConfig) -> dict:
     """Run one backend; returns diagnostics recorded into the sidecar."""
     run = run_cfg.section("run")
@@ -151,6 +156,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         run_cfg.sections["exact"]["cutoffs"] = " ".join(str(c) for c in result.metadata["cutoffs"])
         diagnostics["cutoffs"] = result.metadata["cutoffs"]
         diagnostics["max_leakage"] = result.metadata["max_leakage"]
+        diagnostics.update(_search_diagnostics(result.metadata["search_cutoffs"]))
         diagnostics["classical_wall_time_s"] = (
             f"{result.metadata['wall_time_s']:.3f} "
             "(this workbench's exact solver at the recorded convergence settings; "
@@ -174,31 +180,9 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     ion = run_cfg.section("ion")
     steps = cfg.parse_value(ion, "trotter_steps", int)
-    schedule = pulses.build_schedule(
-        spec,
-        tau_fs,
-        steps,
-        hardware=run_cfg.hardware(),
-        initial_state=initial,
-        physical_rotations=cfg.parse_bool(ion, "physical_rotations"),
-    )
-    if backend == "compile":
-        schedule.write(output)
-        diagnostics["operation_time_us"] = schedule.operation_time_us()
-        diagnostics["n_ions"] = schedule.n_ions
-        return diagnostics
-
-    cutoffs = _parse_cutoffs(ion)
-    if cutoffs is None:
-        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(tau_fs, points))
-        cutoffs = exact.converge_cutoffs(req)
-        run_cfg.sections["ion"]["cutoffs"] = " ".join(str(c) for c in cutoffs)
-    diagnostics["cutoffs"] = cutoffs
-    grid_steps = _grid_steps(steps, points)
-
-    if backend == "ion-ideal":
-        result = pulses.compose_ideal(schedule, cutoffs, grid_steps)
-    else:
+    physical_rotations = cfg.parse_bool(ion, "physical_rotations")
+    if backend == "ion-noisy":
+        # parsed before the schedule build and the cutoff search, so a bad value fails at once
         channels = emulator.NoiseChannels(
             motional_dephasing=cfg.parse_bool(ion, "motional_dephasing"),
             heating=cfg.parse_bool(ion, "heating"),
@@ -206,9 +190,35 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         )
         runs = _at_least(ion, "runs_per_point", 0)  # 0: no shot sampling
         policy = emulator.MeasurementPolicy(runs_per_point=runs, seed=seed) if runs > 0 else None
-        result = emulator.emulate(
-            schedule, channels, cutoffs, grid_steps, policy=policy, check=cfg.parse_bool(ion, "check")
-        )
+        check = cfg.parse_bool(ion, "check")
+    schedule = pulses.build_schedule(
+        spec,
+        tau_fs,
+        steps,
+        hardware=run_cfg.hardware(),
+        initial_state=initial,
+        physical_rotations=physical_rotations,
+    )
+    if backend == "compile":
+        schedule.write(output)
+        diagnostics["operation_time_us"] = schedule.operation_time_us()
+        diagnostics["n_ions"] = schedule.n_ions
+        return diagnostics
+
+    grid_steps = _grid_steps(steps, points)
+    cutoffs = _parse_cutoffs(ion)
+    if cutoffs is None:
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(tau_fs, points))
+        searched = {}
+        cutoffs = exact.converge_cutoffs(req, searched)
+        run_cfg.sections["ion"]["cutoffs"] = " ".join(str(c) for c in cutoffs)
+        diagnostics.update(_search_diagnostics(tuple(searched)))
+    diagnostics["cutoffs"] = cutoffs
+
+    if backend == "ion-ideal":
+        result = pulses.compose_ideal(schedule, cutoffs, grid_steps)
+    else:
+        result = emulator.emulate(schedule, channels, cutoffs, grid_steps, policy=policy, check=check)
     result.to_csv(output)
     diagnostics["operation_time_us"] = schedule.operation_time_us()
     return diagnostics

@@ -133,12 +133,16 @@ def _envelope(section: dict) -> Envelope:
     )
 
 
-def _pairs(kind, sep: str):
-    """Parser for whitespace-separated pairs such as ``0:1 1:2``."""
+def _pairs(kind, sep: str, first=None):
+    """Parser for whitespace-separated pairs such as ``0:1 1:2``.
+
+    ``first`` parses the left value of each pair (default: ``kind``).
+    """
+    first = kind if first is None else first
 
     def pair(tok):
         a, b = tok.split(sep)  # ValueError unless exactly two parts
-        return kind(a), kind(b)
+        return first(a), kind(b)
 
     return lambda text: tuple(pair(tok) for tok in text.split())
 
@@ -257,12 +261,13 @@ def hardware_from_sections(sections) -> HardwareParams:
         return defaults
 
     pairs = _pairs(float, ":")
+    per_chain = _pairs(float, ":", first=int)  # n:value, n an integer chain size
     cal = dict(defaults.duration_calibration)
     if "duration_slope_us_per_rad" in h or "duration_floor_us" in h:
-        slopes = {int(k): v for k, v in parse_value(h, "duration_slope_us_per_rad", pairs, "")} or {
+        slopes = dict(parse_value(h, "duration_slope_us_per_rad", per_chain, "")) or {
             n: c for n, (c, _) in cal.items()
         }
-        floors = {int(k): v for k, v in parse_value(h, "duration_floor_us", pairs, "")} or {
+        floors = dict(parse_value(h, "duration_floor_us", per_chain, "")) or {
             n: f for n, (_, f) in cal.items()
         }
         cal = {n: (slopes[n], floors.get(n, 0.0)) for n in slopes}

@@ -9,6 +9,10 @@ class InvalidModelError(IonvibError):
     """Model parameters violate a structural requirement (e.g. non-positive mode frequency)."""
 
 
+class DimensionLimitError(InvalidModelError):
+    """A truncated space would exceed ``hilbert.DIM_LIMIT``."""
+
+
 class ConvergenceError(IonvibError):
     """A propagation or cutoff search failed to converge within the dimension limit.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidModelError
+from .errors import DimensionLimitError, InvalidModelError
 
 DIM_LIMIT = 2**20
 
@@ -47,7 +47,7 @@ class SpaceLayout:
         if any(d < 2 for d in self.mode_cutoffs):
             raise InvalidModelError("every mode cutoff must be >= 2")
         if self.dim > DIM_LIMIT:
-            raise InvalidModelError(f"total dimension {self.dim} exceeds the limit {DIM_LIMIT}")
+            raise DimensionLimitError(f"total dimension {self.dim} exceeds the limit {DIM_LIMIT}")
 
     @property
     def mode_count(self) -> int:

@@ -1,3 +1,4 @@
+import configparser
 import re
 
 import numpy as np
@@ -465,3 +466,57 @@ def test_noisy_run_over_memory_budget_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bytes" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_search_base_run_over_dim_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # toy N=2 at lambda 1 first crosses a limit of 96 in a base run (dim 128), not a probe
+    monkeypatch.setattr(hb, "DIM_LIMIT", 96)
+    args = ["run", "--preset", "toy", "--modes", "2", "--lambda-over-delta", "1", "--backend", "exact"]
+    assert main([*args, "--grid-points", "8", "--output", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension limit reached") and "the last two iterates differ" in err
+
+
+@pytest.mark.parametrize("key", ["duration_slope_us_per_rad", "duration_floor_us"])
+def test_fractional_chain_size_exits_2_naming_key(tmp_path, capsys, key):
+    path = tmp_path / "hw.ini"
+    path.write_text(f"[hardware]\n{key} = 2.7:10\n")
+    with pytest.raises(ConfigError, match=f"key: {key}"):
+        cfg.load_hardware(str(path))
+    args = ["compile", "--preset", "toy", "--steps", "4", "--hardware", str(path)]
+    assert main([*args, "--output", str(tmp_path / "s.txt")]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["--backend", "ion-noisy", "--steps", "40", "--runs", "-1"], "runs_per_point"),
+        (["--backend", "ion-ideal", "--steps", "30"], "trotter_steps"),
+    ],
+    ids=["noisy-runs-neg", "grid-misaligned"],
+)
+def test_ion_options_parsed_before_cutoff_search(tmp_path, capsys, monkeypatch, flags, key):
+    from ionvib import exact
+
+    def searched(*args, **kwargs):
+        raise AssertionError("cutoff search ran before the options were parsed")
+
+    monkeypatch.setattr(exact, "converge_cutoffs", searched)
+    args = ["run", "--preset", "toy", "--modes", "2", "--grid-points", "40", *flags]
+    assert main([*args, "--output", str(tmp_path / "o.csv")]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--backend", "exact"], ["--backend", "ion-ideal", "--steps", "8"]])
+def test_sidecar_records_cutoff_search(tmp_path, flags):
+    out = tmp_path / "o.csv"
+    args = ["run", "--preset", "toy", "--modes", "2", "--lambda-over-delta", "1", "--grid-points", "8"]
+    assert main([*args, *flags, "--output", str(out)]) == 0
+    sidecar = configparser.ConfigParser()
+    sidecar.read(str(out) + ".meta.ini")
+    tried = sidecar["meta"]["search_cutoffs"].split()
+    assert int(sidecar["meta"]["search_runs"]) == len(tried) == len(set(tried)) > 1
+    used = sidecar["exact" if "exact" in flags else "ion"]["cutoffs"]
+    assert used.replace(" ", ",") in tried
+    assert read_csv(out).populations.shape == (8, 2)

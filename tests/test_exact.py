@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 from ionvib import exact, hilbert as hb, model
 from ionvib.errors import ConvergenceError, InvalidModelError
@@ -126,6 +129,68 @@ class TestPropagation:
             exact.PropagationRequest(spec=spec, times_fs=np.array([0.0, 2.0, 2.0]))
 
 
+def _static_specs():
+    """One static lab-frame case per preset; plet's constant RWA drive makes H complex."""
+    pol = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    plet = model.build_plet_model(
+        (0.0, 2.00, 2.02, 1.98), (0.012, 0.0), (0.0, 0.012), 0.01, 0.01, pol, 2.00,
+        model.Envelope("constant", amplitude=1.0),
+    )
+    vaet = model.build_vaet_model(0.0, 0.02, 0.03, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
+    return {
+        "toy": (model.build_toy_model(2, 10.0), (8, 6)),
+        "ci": (model.build_ci_model(0.02, 0.02, 0.08, 0.08), (6, 5)),
+        "vaet": (vaet, (4, 4, 3)),
+        "plet": (plet, ()),
+    }
+
+
+class TestChebyshev:
+    @pytest.mark.parametrize("name", ["toy", "ci", "vaet", "plet"])
+    def test_matches_dense_exponential(self, name):
+        spec, cutoffs = _static_specs()[name]
+        layout = exact.layout_for(spec, cutoffs)
+        parts = exact.hamiltonian_parts(spec, layout)
+        assert parts.is_static()
+        h = parts.static.toarray()
+        if name == "plet":
+            assert np.abs(h.imag).max() > 0
+        rng = np.random.default_rng(3)
+        psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        psi0 /= np.linalg.norm(psi0)
+        times = np.array([0.0, 0.7, 5.0, 5.25, 18.0, 60.0, 61.0, 120.0])
+        states = exact._propagate_pure(parts, psi0, times, 1e-8)
+        ref = psi0
+        for i, dt in enumerate(np.diff(times)):
+            ref = expm(-1j * dt * h) @ ref
+            assert np.max(np.abs(states[i + 1] - ref)) <= 1e-12
+
+    def test_gershgorin_interval_holds_the_spectrum(self):
+        spec, cutoffs = _static_specs()["toy"]
+        h = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs)).static
+        prop = exact._Chebyshev(h)
+        eigs = np.linalg.eigvalsh(h.toarray())
+        assert prop.center - prop.half_width <= eigs[0] and eigs[-1] <= prop.center + prop.half_width
+
+    @pytest.mark.parametrize("level", [0.0, -0.37])
+    def test_zero_width_spectrum_is_a_pure_phase(self, level):
+        h = sp.csr_matrix(level * sp.identity(6, dtype=complex))
+        parts = exact._Assembled(h, [])
+        psi0 = np.arange(1.0, 7.0) + 1j
+        states = exact._propagate_pure(parts, psi0, np.array([0.0, 2.5, 7.0]), 1e-8)
+        assert parts.chebyshev().half_width == 0.0
+        assert np.array_equal(states[1], np.exp(-2.5j * level) * psi0)
+        assert np.array_equal(states[2], np.exp(-4.5j * level) * states[1])
+
+    def test_coefficients_computed_once_per_step_length(self):
+        spec, cutoffs = _static_specs()["toy"]
+        parts = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs))
+        psi0 = hb.basis_vector(exact.layout_for(spec, cutoffs), 0).data
+        exact._propagate_pure(parts, psi0, np.array([0.0, 10.0, 20.0, 30.0, 45.0]), 1e-8)
+        exact._propagate_pure(parts, psi0, np.array([0.0, 10.0]), 1e-8)
+        assert sorted(parts.chebyshev()._series) == [10.0, 15.0]
+
+
 class TestCutoffSearch:
     @pytest.mark.parametrize(
         "ratio,tau_fs,points,expected",
@@ -176,6 +241,46 @@ class TestCutoffSearch:
                 exact.PropagationRequest(spec=spec, times_fs=times, cutoffs=tuple(probe))
             ).populations
             assert np.max(np.abs(grown - base)) < 1e-4
+
+    def test_each_tuple_runs_once_and_propagate_reuses_the_certifying_run(self, monkeypatch):
+        calls = []
+        run = exact._run
+
+        def counting(request, cutoffs):
+            calls.append(tuple(cutoffs))
+            return run(request, cutoffs)
+
+        monkeypatch.setattr(exact, "_run", counting)
+        spec = model.build_toy_model(2, 10.0)
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(400.0, 40))
+        assert exact.converge_cutoffs(req) == (20, 18)
+        assert len(calls) == len(set(calls))
+        searched = list(calls)
+        calls.clear()
+        tr = exact.propagate(req)
+        assert calls == searched
+        assert tr.metadata["search_runs"] == len(searched)
+        assert tr.metadata["search_cutoffs"] == tuple(searched)
+        fixed = exact.propagate(replace(req, cutoffs=(20, 18)))
+        assert np.array_equal(fixed.populations, tr.populations)
+        assert (fixed.metadata["search_runs"], fixed.metadata["search_cutoffs"]) == (0, ())
+
+    def test_modeless_model_search_is_its_single_run(self):
+        spec, _ = _static_specs()["plet"]
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(100.0, 5))
+        tr = exact.propagate(req)
+        assert (tr.metadata["cutoffs"], tr.metadata["search_cutoffs"]) == ((), ((),))
+        fixed = exact.propagate(replace(req, cutoffs=()))
+        assert np.array_equal(tr.populations, fixed.populations)
+
+    def test_base_run_over_dimension_limit_is_a_convergence_failure(self, monkeypatch):
+        # the search's base run, not a probe, is the first to cross the limit
+        monkeypatch.setattr(hb, "DIM_LIMIT", 96)
+        spec = model.build_toy_model(2, 1.0)
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(400.0, 8))
+        with pytest.raises(ConvergenceError) as info:
+            exact.converge_cutoffs(req)
+        assert info.value.last is not None and info.value.previous is not None
 
     def test_failure_when_limit_too_small(self):
         spec = model.build_toy_model(2, 30.0)
