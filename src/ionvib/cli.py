@@ -87,7 +87,10 @@ def _grid_steps(steps: int, points: int):
 
 
 def _parse_cutoffs(section: dict):
-    return tuple(cfg.parse_value(section, "cutoffs", cfg.ints)) or None
+    cutoffs = tuple(cfg.parse_value(section, "cutoffs", cfg.ints))
+    if any(c < 2 for c in cutoffs):
+        raise ConfigError(f"every cutoff must be at least 2, got {min(cutoffs)}", key="cutoffs")
+    return cutoffs or None
 
 
 def _at_least(section: dict, key: str, minimum: int) -> int:
@@ -108,6 +111,8 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     backend = run["backend"]
     output = run["output"]
     tau_fs = cfg.parse_value(run, "tau_fs")
+    if not tau_fs > 0:
+        raise ConfigError(f"must be positive, got {tau_fs}", key="tau_fs")
     points = _at_least(run, "grid_points", 1)
     seed = cfg.parse_value(run, "seed", int)
     initial = cfg.parse_value(run, "initial_state", int)
@@ -115,13 +120,17 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     if backend == "estimate":
         est = run_cfg.section("estimate")
+        time_points = _at_least(est, "time_points", 1)
+        steps = _at_least(est, "trotter_steps", 1)
+        if steps % time_points:
+            raise ConfigError(f"must be a multiple of time_points ({time_points}), got {steps}", key="trotter_steps")
         plan = estimator.ExperimentPlan(
             lambdas=tuple(cfg.parse_value(est, "lambdas", cfg.floats)),
             mode_counts=tuple(cfg.parse_value(est, "modes_list", cfg.ints)),
             runs_per_point=_at_least(est, "runs_per_point", 1),
-            time_points=_at_least(est, "time_points", 1),
+            time_points=time_points,
             tau_fs=tau_fs,
-            trotter_steps=cfg.parse_value(est, "trotter_steps", int),
+            trotter_steps=steps,
             hardware=run_cfg.hardware(),
         )
         rows = estimator.experimental_time(plan)
@@ -167,7 +176,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     if backend == "ehrenfest":
         eh = run_cfg.section("ehrenfest")
         conf = ehr.EnsembleConfig(
-            trajectories=cfg.parse_value(eh, "trajectories", int),
+            trajectories=_at_least(eh, "trajectories", 1),
             sampling=eh["sampling"],
             nbar=cfg.parse_value(eh, "nbar"),
             seed=seed,
@@ -179,7 +188,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         return diagnostics
 
     ion = run_cfg.section("ion")
-    steps = cfg.parse_value(ion, "trotter_steps", int)
+    steps = _at_least(ion, "trotter_steps", 1)
     physical_rotations = cfg.parse_bool(ion, "physical_rotations")
     if backend == "ion-noisy":
         # parsed before the schedule build and the cutoff search, so a bad value fails at once

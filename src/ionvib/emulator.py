@@ -62,6 +62,7 @@ from scipy.linalg import expm, get_lapack_funcs
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import InvalidModelError, NumericalFailureError
+from .hilbert import SpaceLayout, annihilation, number_operator, pauli
 from .pulses import (
     HardwareParams,
     PulseSchedule,
@@ -138,26 +139,18 @@ def _collapse_ops(n_qubits: int, cutoff: int, rates: dict, channels: NoiseChanne
 
     Laser Z acts on each of the qubits; the always-on operators act on the mode.
     """
-    mode_dim = max(cutoff, 1)
+    local = SpaceLayout(n_qubits, (cutoff,) if cutoff else ())
     ops = []
     if "laser_dephasing" in rates:
-        z = math.sqrt(rates["laser_dephasing"] / 2.0) * sp.diags([1.0, -1.0], dtype=complex)
-        for j in range(n_qubits):
-            left = sp.identity(2**j, dtype=complex)
-            right = sp.identity(2 ** (n_qubits - 1 - j) * mode_dim, dtype=complex)
-            ops.append(sp.kron(sp.kron(left, z), right, format="csr"))
+        ops += [math.sqrt(rates["laser_dephasing"] / 2.0) * pauli(local, j, "Z") for j in range(n_qubits)]
     if cutoff:
-        a = sp.diags(np.sqrt(np.arange(1.0, cutoff)), offsets=1, dtype=complex)
-        mode_ops = []
         if "motional_dephasing" in rates:
-            number = sp.diags(np.arange(cutoff, dtype=complex))
-            mode_ops.append(math.sqrt(2.0 * rates["motional_dephasing"]) * number)
+            ops.append(math.sqrt(2.0 * rates["motional_dephasing"]) * number_operator(local, 0))
         if "heating" in rates:
-            mode_ops.append(math.sqrt(rates["heating"]) * a.T)
+            a = annihilation(local, 0)
+            ops.append(math.sqrt(rates["heating"]) * a.T)
             if channels.symmetric_heating:
-                mode_ops.append(math.sqrt(rates["heating"]) * a)
-        left = sp.identity(2**n_qubits, dtype=complex)
-        ops += [sp.kron(left, l_op, format="csr") for l_op in mode_ops]
+                ops.append(math.sqrt(rates["heating"]) * a)
     return ops
 
 

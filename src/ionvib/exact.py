@@ -16,6 +16,13 @@ Strategy:
   local error control set by ``eps_int``.  ``eps_int`` governs only this
   branch.
 
+The electronic Hamiltonian, drive and rotating-wave convention included, is
+``LvcmSpec.electronic_matrix``; this module never reads the drive itself.  A
+time-independent model puts E(0) (x) I into the static matrix; a
+time-dependent one applies E(t) on the electronic factor of the state inside
+the integrator's right-hand side.  Each mode term is K_k (x) a_k, with a_k
+built by :mod:`ionvib.hilbert` on the mode-only layout.
+
 Thermal initial mode states are expanded into a weighted mixture of Fock
 product states (the thermal state is diagonal), each propagated as a pure
 state; this is exact and far cheaper than density propagation at the nbar
@@ -93,15 +100,18 @@ class PropagationRequest:
 
 
 class _Assembled:
-    """Static sparse matrix plus (coefficient(t), matrix) pairs for rotating terms."""
+    """Static sparse matrix, (coefficient(t), matrix) pairs for rotating terms, and
+    the electronic matrix E(t) on the electronic factor when the model's own is
+    time-dependent (else ``None``, and E is in ``static``)."""
 
-    def __init__(self, static, time_terms):
+    def __init__(self, static, time_terms, electronic=None):
         self.static = static
         self.time_terms = time_terms
+        self.electronic = electronic
         self._chebyshev = None
 
     def is_static(self) -> bool:
-        return not self.time_terms
+        return not self.time_terms and self.electronic is None
 
     def chebyshev(self) -> _Chebyshev:
         """The static part's propagator, built once and shared by every state of a run."""
@@ -166,44 +176,26 @@ class _Chebyshev:
         return phase * out
 
 
-def _electronic_block(layout: SpaceLayout, matrix: np.ndarray):
-    """Embed an M x M electronic operator (identity on modes)."""
-    e = layout.electronic_dim
-    padded = np.zeros((e, e), dtype=complex)
-    padded[: len(matrix), : len(matrix)] = matrix
-    return sp.kron(sp.csr_matrix(padded), sp.identity(layout.dim // e, dtype=complex), format="csr")
+def _padded(layout: SpaceLayout, matrix: np.ndarray) -> np.ndarray:
+    """An M x M electronic matrix on the qubit register's 2^q states (zero on the padding)."""
+    return np.pad(matrix, (0, layout.electronic_dim - len(matrix)))
 
 
 def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -> _Assembled:
-    static = _electronic_block(layout, spec.delta)
+    modes = SpaceLayout(0, layout.mode_cutoffs)
+    electronic = None
+    if spec.is_time_dependent():
+        static = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
+
+        def electronic(t):
+            return _padded(layout, spec.electronic_matrix(t))
+
+    else:
+        static = sp.kron(_padded(layout, spec.electronic_matrix(0.0)), sp.identity(modes.dim), format="csr")
     time_terms = []
-
-    if spec.drive is not None:
-        drv = spec.drive
-        if drv.rwa:
-            shift = np.zeros((spec.state_count, spec.state_count), dtype=complex)
-            for s in drv.rotating_states:
-                shift[s, s] = -drv.carrier_rad_per_fs
-            static = static + _electronic_block(layout, shift)
-        for idx, (lo, hi) in enumerate(drv.transitions):
-            one_hot = np.zeros((spec.state_count, spec.state_count))
-            one_hot[lo, hi] = 1.0
-            t_mat = _electronic_block(layout, one_hot)
-
-            def coeff(t, _i=idx):
-                return spec.drive.coupling_coefficients(t)[_i]
-
-            if drv.rwa and drv.envelope.kind == "constant":
-                c = drv.coupling_coefficients(0.0)[idx]
-                static = static + c * t_mat + np.conj(c) * t_mat.getH()
-            else:
-                time_terms.append((coeff, t_mat))
-                time_terms.append((lambda t, _i=idx: np.conj(spec.drive.coupling_coefficients(t)[_i]), t_mat.getH()))
-
     for k in range(spec.mode_count):
-        k_mat = _electronic_block(layout, spec.kappa[:, :, k])
-        a = hilbert.annihilation(layout, k)
-        b = k_mat @ a  # K_k (x) a_k ; Hermitian conjugate carries a^dag
+        # K_k (x) a_k ; its Hermitian conjugate carries a_k^dag
+        b = sp.kron(_padded(layout, spec.kappa[:, :, k]), hilbert.annihilation(modes, k), format="csr")
         if frame == "lab":
             static = static + b + b.getH()
             static = static + spec.nu[k] * hilbert.number_operator(layout, k)
@@ -211,7 +203,7 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
             nu_k = spec.nu[k]
             time_terms.append((lambda t, w=nu_k: np.exp(-1j * w * t), b))
             time_terms.append((lambda t, w=nu_k: np.exp(+1j * w * t), b.getH()))
-    return _Assembled(sp.csr_matrix(static, dtype=complex), [(f, sp.csr_matrix(m)) for f, m in time_terms])
+    return _Assembled(sp.csr_matrix(static, dtype=complex), [(f, sp.csr_matrix(m)) for f, m in time_terms], electronic)
 
 
 def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndarray:
@@ -266,6 +258,9 @@ def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_
 
     def rhs(t, y):
         v = parts.static @ y
+        if parts.electronic is not None:
+            e = parts.electronic(t)
+            v += (e @ y.reshape(len(e), -1)).ravel()
         for fn, mat in parts.time_terms:
             v = v + fn(t) * (mat @ y)
         return -1j * v
@@ -301,11 +296,7 @@ def _run(request: PropagationRequest, cutoffs):
     pops = np.zeros((len(times), m))
     top = np.zeros((len(times), layout.mode_count))
     for levels, weight in _thermal_mixture(spec, layout, request.nbar):
-        psi0 = elec
-        for lvl, d in zip(levels, layout.mode_cutoffs):
-            v = np.zeros(d, dtype=complex)
-            v[lvl] = 1.0
-            psi0 = np.kron(psi0, v)
+        psi0 = hilbert.product_state(layout, elec, levels)
         for idx, psi in enumerate(_propagate_pure(parts, psi0, times, request.eps_int)):
             pops[idx] += weight * _populations_from_vector(psi, layout, m)
             top[idx] += weight * hilbert.top_level_populations(layout, psi)

@@ -15,9 +15,14 @@ Conventions used throughout the workbench:
   standard Pauli Y.
 - Mode k is truncated to Fock levels |0> .. |d_k - 1> with <n-1|a|n> = sqrt(n).
 
-Operators are plain scipy CSR matrices on the full space and states are plain
-numpy vectors or density matrices; ``QuantumState`` only adds validation for
-states handed in from outside.
+Operators are plain scipy CSR matrices on the layout they are asked for and
+states are plain numpy vectors or density matrices; ``QuantumState`` only adds
+validation for states handed in from outside.  The backends build every
+ladder, number and Pauli operator here, on one of three layouts: the full
+qubit (x) mode space, the mode-only space ``SpaceLayout(0, cutoffs)`` that the
+exact solver krons with an electronic matrix, or a pulse's own factors
+``SpaceLayout(len(qubits), (cutoff,))`` in the noisy emulator.  Product states
+come from :func:`product_state`.
 """
 
 from __future__ import annotations
@@ -177,19 +182,28 @@ def thermal_weights(cutoff: int, nbar: float) -> np.ndarray:
     return w / w.sum()
 
 
-def basis_vector(layout: SpaceLayout, electronic_index: int, mode_levels=None) -> QuantumState:
-    """Product basis state |electronic> (x) |n_1 ... n_N>."""
+def product_state(layout: SpaceLayout, electronic, mode_levels=None) -> np.ndarray:
+    """Product vector (electronic amplitudes) (x) |n_1 ... n_N>; modes default to |0>."""
+    electronic = np.asarray(electronic, dtype=complex)
+    if electronic.shape != (layout.electronic_dim,):
+        raise InvalidModelError("electronic amplitude count does not match layout")
     levels = tuple(mode_levels) if mode_levels is not None else (0,) * layout.mode_count
     if len(levels) != layout.mode_count:
         raise InvalidModelError("mode level count does not match layout")
-    idx = electronic_index
-    for n, d in zip(levels, layout.mode_cutoffs):
-        if not 0 <= n < d:
-            raise InvalidModelError("mode level exceeds cutoff")
-        idx = idx * d + n
-    vec = np.zeros(layout.dim, dtype=complex)
-    vec[idx] = 1.0
-    return QuantumState(layout, vec, "vector", validate=False)
+    if not all(0 <= n < d for n, d in zip(levels, layout.mode_cutoffs)):
+        raise InvalidModelError("mode level exceeds cutoff")
+    vec = np.zeros((layout.electronic_dim, layout.dim // layout.electronic_dim), dtype=complex)
+    vec[:, np.ravel_multi_index(levels, layout.mode_cutoffs)] = electronic
+    return vec.reshape(-1)
+
+
+def basis_vector(layout: SpaceLayout, electronic_index: int, mode_levels=None) -> QuantumState:
+    """Product basis state |electronic> (x) |n_1 ... n_N>."""
+    if not 0 <= electronic_index < layout.electronic_dim:
+        raise InvalidModelError(f"electronic index {electronic_index} out of range")
+    elec = np.zeros(layout.electronic_dim, dtype=complex)
+    elec[electronic_index] = 1.0
+    return QuantumState(layout, product_state(layout, elec, mode_levels), "vector", validate=False)
 
 
 def expectation(state: QuantumState, op) -> complex:

@@ -177,13 +177,10 @@ def static_energies(spec: LvcmSpec) -> np.ndarray:
     """Diagonal electronic energies in the compilation frame (rad/fs).
 
     With a rotating-wave drive the compilation happens in the carrier frame,
-    so the rotating states' energies are shifted down by the carrier.
+    so the rotating states' energies are shifted down by the carrier; the
+    model's electronic matrix carries that shift.
     """
-    e = np.array(np.real(np.diag(spec.delta)), dtype=float)
-    if spec.drive is not None and spec.drive.rwa:
-        for s in spec.drive.rotating_states:
-            e[s] -= spec.drive.carrier_rad_per_fs
-    return e
+    return np.real(np.diag(spec.electronic_matrix(0.0)))
 
 
 def trotterize(spec: LvcmSpec, tau_fs: float, steps: int) -> list:
@@ -691,16 +688,9 @@ def hardware_layout(schedule: PulseSchedule, cutoffs) -> hb.SpaceLayout:
 
 def hardware_initial_vector(schedule: PulseSchedule, layout) -> np.ndarray:
     """Hardware start state: encoded electronic state, all modes in |0>."""
-    dim_q = 2**schedule.qubit_count
-    elec = np.zeros(dim_q, dtype=complex)
+    elec = np.zeros(layout.electronic_dim, dtype=complex)
     elec[schedule.mapping.hw_index(schedule.initial_state)] = 1.0
-    elec = schedule.mapping.encoder() @ elec
-    vec = elec
-    for d in layout.mode_cutoffs:
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        vec = np.kron(vec, v)
-    return vec
+    return hb.product_state(layout, schedule.mapping.encoder() @ elec)
 
 
 def readout_populations(schedule: PulseSchedule, layout, state, t_fs: float) -> np.ndarray:

@@ -364,12 +364,28 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
             + ["--grid-points", "4"],
             "runs_per_point",
         ),
+        (None, ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "0", "--cutoffs", "4,4"], "trotter_steps"),
+        (None, ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "-4", "--cutoffs", "4,4"], "trotter_steps"),
+        (None, ["compile", "--preset", "toy", "--steps", "0"], "trotter_steps"),
+        (None, ["estimate", "--lambdas", "1", "--modes-list", "2", "--steps", "-40"], "trotter_steps"),
+        (None, ["estimate", "--lambdas", "1", "--modes-list", "2", "--steps", "601"], "trotter_steps"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--tau-fs", "0"], "tau_fs"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--tau-fs", "-100"], "tau_fs"),
+        (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "0"], "trajectories"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "1,4"], "cutoffs"),
+        (
+            None,
+            ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "4", "--cutoffs", "4,1", "--grid-points", "4"],
+            "cutoffs",
+        ),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
         "grid-0-exact", "grid-neg-exact", "grid-0-ehrenfest", "grid-0-ion", "estimate-time-points-0",
         "hardware-rabi-one-value", "hardware-slope-no-chain", "model-delta-count", "model-kappa-count",
         "model-nu-count", "model-transition-one-state", "estimate-runs-0", "ion-runs-neg",
+        "ion-steps-0", "ion-steps-neg", "compile-steps-0", "estimate-steps-neg", "estimate-steps-not-multiple",
+        "tau-0", "tau-neg", "trajectories-0", "exact-cutoff-1", "ion-cutoff-1",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from ionvib import exact, hilbert as hb, model
+from ionvib import ehrenfest, exact, hilbert as hb, model
 from ionvib.errors import ConvergenceError, InvalidModelError
 from ionvib.units import HBAR_EV_FS, ev_to_rad_per_fs
 
@@ -98,16 +98,30 @@ class TestPropagation:
         h_scale = abs(energies[0]) + 1.0
         assert np.max(np.abs(energies - energies[0])) / h_scale < 1e-8
 
-    def test_frame_equivalence(self):
-        spec = model.build_toy_model(2, 1.0)
+    @pytest.mark.parametrize("name", ["toy", "driven"])
+    def test_frame_equivalence(self, name):
+        spec, cutoffs = _frame_specs()[name]
         times = exact.default_time_grid(200.0, 11)
-        lab = exact.propagate(exact.PropagationRequest(spec=spec, times_fs=times, cutoffs=(8, 8)))
-        inter = exact.propagate(
-            exact.PropagationRequest(
-                spec=spec, times_fs=times, cutoffs=(8, 8), frame="interaction", eps_int=1e-10
+        lab, inter = (
+            exact.propagate(
+                exact.PropagationRequest(spec=spec, times_fs=times, cutoffs=cutoffs, frame=frame, eps_int=1e-10)
             )
+            for frame in ("lab", "interaction")
         )
         assert np.max(np.abs(lab.populations - inter.populations)) < 1e-8
+
+    @pytest.mark.parametrize("kind", ["constant", "gaussian"])
+    @pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "lab-field"])
+    def test_driven_electronic_matches_tdse(self, kind, rwa):
+        # with no modes the Ehrenfest equations are the exact electronic TDSE
+        envelope = model.Envelope(kind, amplitude=2.0, center_fs=60.0, width_fs=25.0)
+        spec = _plet(envelope, rwa)
+        times = exact.default_time_grid(150.0, 15)
+        tr = exact.propagate(exact.PropagationRequest(spec=spec, times_fs=times, cutoffs=(), eps_int=1e-10))
+        start = ehrenfest.TrajectoryState(c=[1, 0, 0, 0], q=np.zeros(0), p=np.zeros(0))
+        ref = ehrenfest.evolve_trajectory(spec, start, times, tol=1e-10)
+        assert ref[:, 0].min() < 0.7  # the drive moves population out of the ground state
+        assert np.max(np.abs(tr.populations - ref)) <= 1e-7
 
     def test_thermal_initial_state_close_to_ground(self):
         # quantifies the zero-temperature approximation at nbar = 0.06;
@@ -129,13 +143,31 @@ class TestPropagation:
             exact.PropagationRequest(spec=spec, times_fs=np.array([0.0, 2.0, 2.0]))
 
 
+def _plet(envelope, rwa=True):
+    pol = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    return model.build_plet_model(
+        (0.0, 2.00, 2.02, 1.98), (0.012, 0.0), (0.0, 0.012), 0.01, 0.01, pol, 2.00, envelope, rwa
+    )
+
+
+def _frame_specs():
+    """The toy model, and a one-mode model under a Gaussian RWA drive."""
+    toy = model.build_toy_model(1, 1.0)
+    drive = model.DriveSpec(
+        transitions=((0, 1),),
+        dipoles=((1.0, 0.0),),
+        polarization=(1.0, 0.0),
+        carrier_rad_per_fs=0.5,
+        envelope=model.Envelope("gaussian", amplitude=0.2, center_fs=80.0, width_fs=30.0),
+        rotating_states=(1,),
+    )
+    driven = model.LvcmSpec(toy.delta, toy.kappa, toy.nu, drive=drive)
+    return {"toy": (model.build_toy_model(2, 1.0), (8, 8)), "driven": (driven, (8,))}
+
+
 def _static_specs():
     """One static lab-frame case per preset; plet's constant RWA drive makes H complex."""
-    pol = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    plet = model.build_plet_model(
-        (0.0, 2.00, 2.02, 1.98), (0.012, 0.0), (0.0, 0.012), 0.01, 0.01, pol, 2.00,
-        model.Envelope("constant", amplitude=1.0),
-    )
+    plet = _plet(model.Envelope("constant", amplitude=1.0))
     vaet = model.build_vaet_model(0.0, 0.02, 0.03, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
     return {
         "toy": (model.build_toy_model(2, 10.0), (8, 6)),

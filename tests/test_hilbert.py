@@ -64,6 +64,23 @@ def test_index_bounds(layout):
         hb.pauli(layout, 1, "X")
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_basis_vector_electronic_index_bounds(index):
+    # a negative index must not wrap around to the last state
+    with pytest.raises(InvalidModelError):
+        hb.basis_vector(hb.SpaceLayout(1, (3,)), index)
+
+
+def test_product_state(layout):
+    amps = np.array([0.6, 0.8j])
+    expected = np.kron(np.kron(amps, [0, 0, 1, 0]), [0, 1, 0])
+    assert np.array_equal(hb.product_state(layout, amps, (2, 1)), expected)
+    assert np.array_equal(hb.product_state(layout, amps), np.kron(np.kron(amps, [1, 0, 0, 0]), [1, 0, 0]))
+    for elec, levels in (([1.0], (0, 0)), (amps, (0,)), (amps, (4, 0)), (amps, (0, -1))):
+        with pytest.raises(InvalidModelError):
+            hb.product_state(layout, elec, levels)
+
+
 def test_dimension_limit():
     with pytest.raises(InvalidModelError):
         hb.SpaceLayout(2, (64, 64, 64, 64))
