@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     InfeasibleScheduleError,
+    InvalidModelError,
     IonvibError,
     UnsupportedChainError,
 )
@@ -175,16 +176,21 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     if backend == "ehrenfest":
         eh = run_cfg.section("ehrenfest")
-        conf = ehr.EnsembleConfig(
-            trajectories=_at_least(eh, "trajectories", 1),
-            sampling=eh["sampling"],
-            nbar=cfg.parse_value(eh, "nbar"),
-            seed=seed,
-            initial_state=initial,
-            tol=cfg.parse_value(eh, "tol"),
-        )
+        try:
+            conf = ehr.EnsembleConfig(
+                trajectories=_at_least(eh, "trajectories", 1),
+                sampling=eh["sampling"],
+                nbar=cfg.parse_value(eh, "nbar"),
+                seed=seed,
+                initial_state=initial,
+                tol=cfg.parse_value(eh, "tol"),
+            )
+        except InvalidModelError as exc:
+            raise ConfigError(str(exc), key=exc.key) from None
         result = ehr.ensemble_average(spec, conf, exact.default_time_grid(tau_fs, points))
         result.to_csv(output)
+        diagnostics["integrator"] = result.metadata["integrator"]
+        diagnostics["rhs_evals"] = result.metadata["rhs_evals"]
         return diagnostics
 
     ion = run_cfg.section("ion")

@@ -14,6 +14,24 @@ independent Gaussians with variance nbar + 1/2 per coordinate.
 Randomness comes from numpy's PCG64 generator; the stream for trajectory r is
 seeded with SeedSequence([seed, r]), so ensembles are reproducible across
 platforms and independent of scheduling order.
+
+Integration: the whole ensemble is one batch.  The R trajectories are stacked
+in trajectory-index order into one (R, M + 2N) complex system, and a single
+DOP853 call advances it with rtol = atol = tol / sqrt(R); a lone trajectory
+(``evolve_trajectory``) is the batch of one.  DOP853 accepts a step when the
+RMS of the scaled local error over all R(M + 2N) components is at most 1, so
+the errors of any one trajectory, scaled with tol instead of tol / sqrt(R),
+have an RMS of at most 1: every accepted step passes the test that trajectory
+would meet if it were integrated alone at ``tol``.  Its result still depends
+on its batch-mates, which set the common step sizes, so the batch
+composition is fixed by trajectory index and a rerun is bit-identical.
+scipy raises any rtol below 100 eps (about 2.2e-14) to that floor with a
+warning, e.g. tol = 1e-13 at R = 100.
+
+At lambda/Delta of about 5 and above single trajectories are chaotic: a
+trajectory at tol 1e-10 and the same one at 1e-12 can differ by O(1) in
+population.  A result then depends on R and on tol, and only ensemble
+statistics (means compared in units of their standard error) are meaningful.
 """
 
 from __future__ import annotations
@@ -26,6 +44,8 @@ from scipy.integrate import solve_ivp
 from .errors import ConvergenceError, InvalidModelError
 from .model import LvcmSpec
 from .trace import PopulationTrace
+
+SQRT2 = np.sqrt(2.0)
 
 
 @dataclass
@@ -55,9 +75,15 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.trajectories < 1:
-            raise InvalidModelError("need at least one trajectory")
+            raise InvalidModelError("need at least one trajectory", key="trajectories")
         if self.sampling not in ("wigner_ground", "wigner_thermal"):
-            raise InvalidModelError(f"unknown sampling scheme {self.sampling!r}")
+            raise InvalidModelError(f"unknown sampling scheme {self.sampling!r}", key="sampling")
+        if not (np.isfinite(self.nbar) and self.nbar >= 0):
+            raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise InvalidModelError(f"tol must be finite and > 0, got {self.tol}", key="tol")
+        if self.initial_state < 0:
+            raise InvalidModelError(f"initial state must be >= 0, got {self.initial_state}", key="initial_state")
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -66,6 +92,10 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 def sample_initial(config: EnsembleConfig, spec: LvcmSpec, rng: np.random.Generator) -> TrajectoryState:
     """Draw one Wigner-sampled initial condition."""
+    if config.initial_state >= spec.state_count:
+        raise InvalidModelError(
+            f"initial state must be 0 .. {spec.state_count - 1}, got {config.initial_state}", key="initial_state"
+        )
     var = 0.5 if config.sampling == "wigner_ground" else config.nbar + 0.5
     n = spec.mode_count
     q = rng.normal(0.0, np.sqrt(var), size=n)
@@ -75,62 +105,74 @@ def sample_initial(config: EnsembleConfig, spec: LvcmSpec, rng: np.random.Genera
     return TrajectoryState(c=c, q=q, p=p)
 
 
-def _electronic_hamiltonian(spec: LvcmSpec, q: np.ndarray, t_fs: float) -> np.ndarray:
-    h = spec.electronic_matrix(t_fs)
-    if spec.mode_count:
-        h = h + np.tensordot(spec.kappa, np.sqrt(2.0) * q, axes=([2], [0]))
-    return h
+def _kappa_matrix(spec: LvcmSpec) -> np.ndarray:
+    """sqrt(2) kappa as an (M*M, N) matrix: row i*M + j holds sqrt(2) kappa_ij."""
+    m = spec.state_count
+    return SQRT2 * spec.kappa.reshape(m * m, spec.mode_count)
 
 
 def mean_field_energy(spec: LvcmSpec, state: TrajectoryState, t_fs: float = 0.0) -> float:
     """Conserved mean-field energy (rad/fs) for time-independent models."""
-    h = _electronic_hamiltonian(spec, state.q, t_fs)
+    m = spec.state_count
+    h = spec.electronic_matrix(t_fs) + (_kappa_matrix(spec) @ state.q).reshape(m, m)
     e_el = float(np.real(np.vdot(state.c, h @ state.c)))
     e_cl = float(0.5 * np.sum(spec.nu * (state.q**2 + state.p**2)))
     return e_el + e_cl
 
 
-def evolve_trajectory(spec: LvcmSpec, state: TrajectoryState, times_fs, tol: float = 1e-10):
-    """Integrate one trajectory; returns |c_i(t)|^2 with shape (T, M)."""
-    times = np.asarray(times_fs, dtype=float)
-    m, n = spec.state_count, spec.mode_count
-    y0 = np.concatenate([state.c, state.q.astype(complex), state.p.astype(complex)])
-    kappa = spec.kappa
+def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
+    """Integrate trajectories as one batch; returns (|c_i(t)|^2 of shape (R, T, M), RHS evaluations).
+
+    The R states are stacked, in the given order, into one (R, M + 2N) complex
+    system that one DOP853 call advances with rtol = atol = tol / sqrt(R).
+    """
+    r, m, n = len(states), spec.state_count, spec.mode_count
+    width = m + 2 * n
+    y0 = np.concatenate([np.concatenate([s.c, s.q, s.p]) for s in states])
+    force_rows = _kappa_matrix(spec)
+    coupling = -1j * force_rows.T  # q @ coupling = -i sqrt(2) sum_k q_k kappa_k
+    nu, neg_nu = spec.nu, -spec.nu
+    static = None if spec.is_time_dependent() else -1j * spec.electronic_matrix(0.0)
 
     def rhs(t, y):
-        c = y[:m]
-        q = y[m : m + n].real
-        p = y[m + n :].real
-        h = _electronic_hamiltonian(spec, q, t)
-        dc = -1j * (h @ c)
-        dq = spec.nu * p
-        force = np.sqrt(2.0) * np.real(np.einsum("i,ijk,j->k", c.conj(), kappa, c)) if n else np.zeros(0)
-        dp = -spec.nu * q - force
-        return np.concatenate([dc, dq.astype(complex), dp.astype(complex)])
+        y = y.reshape(r, width)
+        c = y[:, :m]
+        gen = -1j * spec.electronic_matrix(t) if static is None else static
+        if not n:  # the electronic TDSE alone; skips the empty mode arithmetic
+            return (gen @ c[:, :, None]).ravel()
+        q = y[:, m : m + n].real
+        gen = gen + (q @ coupling).reshape(r, m, m)  # -i H_el(q) per trajectory
+        force = ((c.conj()[:, :, None] * c[:, None, :]).reshape(r, m * m) @ force_rows).real
+        dc = (gen @ c[:, :, None])[:, :, 0]
+        return np.concatenate([dc, nu * y[:, m + n :].real, neg_nu * q - force], axis=1).ravel()
 
+    batch_tol = tol / np.sqrt(r)
     sol = solve_ivp(
         rhs,
         (times[0], times[-1]),
         y0,
         t_eval=times,
         method="DOP853",
-        rtol=tol,
-        atol=tol,
+        rtol=batch_tol,
+        atol=batch_tol,
     )
     if not sol.success:
         raise ConvergenceError(f"trajectory integration failed: {sol.message}")
-    c_t = sol.y[:m, :]
-    return np.abs(c_t.T) ** 2
+    c_t = sol.y.reshape(r, width, -1)[:, :m, :]
+    return np.abs(c_t.transpose(0, 2, 1)) ** 2, sol.nfev
+
+
+def evolve_trajectory(spec: LvcmSpec, state: TrajectoryState, times_fs, tol: float = 1e-10):
+    """Integrate one trajectory (a batch of one); returns |c_i(t)|^2 with shape (T, M)."""
+    pops, _ = _integrate(spec, [state], np.asarray(times_fs, dtype=float), tol)
+    return pops[0]
 
 
 def ensemble_average(spec: LvcmSpec, config: EnsembleConfig, times_fs) -> PopulationTrace:
     """Mean populations over the ensemble, with per-point standard errors."""
     times = np.asarray(times_fs, dtype=float)
-    runs = np.empty((config.trajectories, len(times), spec.state_count))
-    for r in range(config.trajectories):
-        rng = trajectory_rng(config.seed, r)
-        state = sample_initial(config, spec, rng)
-        runs[r] = evolve_trajectory(spec, state, times, config.tol)
+    states = [sample_initial(config, spec, trajectory_rng(config.seed, r)) for r in range(config.trajectories)]
+    runs, rhs_evals = _integrate(spec, states, times, config.tol)
     mean = runs.mean(axis=0)
     if config.trajectories > 1:
         stderr = runs.std(axis=0, ddof=1) / np.sqrt(config.trajectories)
@@ -147,5 +189,7 @@ def ensemble_average(spec: LvcmSpec, config: EnsembleConfig, times_fs) -> Popula
             "nbar": config.nbar,
             "seed": config.seed,
             "rng": "numpy PCG64, SeedSequence([seed, trajectory])",
+            "integrator": f"DOP853, one batch of {config.trajectories}, rtol=atol=tol/sqrt({config.trajectories})",
+            "rhs_evals": rhs_evals,
         },
     )

@@ -6,7 +6,15 @@ class IonvibError(Exception):
 
 
 class InvalidModelError(IonvibError):
-    """Model parameters violate a structural requirement (e.g. non-positive mode frequency)."""
+    """Model parameters violate a structural requirement (e.g. non-positive mode frequency).
+
+    ``key`` names the offending setting when it is a config key, so the CLI
+    can report it as a config error.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DimensionLimitError(InvalidModelError):

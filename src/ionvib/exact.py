@@ -209,7 +209,10 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
 def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndarray:
     vec = np.zeros(layout.electronic_dim, dtype=complex)
     if np.ndim(initial) == 0:
-        vec[int(initial)] = 1.0
+        index = int(initial)
+        if not 0 <= index < spec.state_count:
+            raise InvalidModelError(f"initial state must be 0 .. {spec.state_count - 1}, got {index}")
+        vec[index] = 1.0
     else:
         amps = np.asarray(initial, dtype=complex)
         if amps.shape != (spec.state_count,):

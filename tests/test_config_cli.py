@@ -300,6 +300,9 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+EHRENFEST_RUN = ["run", "--config", "{ini}", "--backend", "ehrenfest", "--trajectories", "2", "--grid-points", "4"]
+
+
 @pytest.mark.parametrize(
     "ini,args,key",
     [
@@ -372,6 +375,13 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--tau-fs", "0"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--tau-fs", "-100"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "0"], "trajectories"),
+        ("[model]\npreset = toy\n[ehrenfest]\ntol = 0\n", [*EHRENFEST_RUN], "tol"),
+        ("[model]\npreset = toy\n[ehrenfest]\ntol = nan\n", [*EHRENFEST_RUN], "tol"),
+        ("[model]\npreset = toy\n[ehrenfest]\ntol = -1e-3\n", [*EHRENFEST_RUN], "tol"),
+        ("[model]\npreset = toy\n[ehrenfest]\nsampling = wigner_thermal\nnbar = -1\n", [*EHRENFEST_RUN], "nbar"),
+        ("[model]\npreset = toy\n[ehrenfest]\nsampling = wigner_thermal\nnbar = nan\n", [*EHRENFEST_RUN], "nbar"),
+        (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "2", "--nbar", "-1"], "nbar"),
+        ("[model]\npreset = toy\n[ehrenfest]\nsampling = wigner_hot\n", [*EHRENFEST_RUN], "sampling"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "1,4"], "cutoffs"),
         (
             None,
@@ -385,7 +395,9 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
         "hardware-rabi-one-value", "hardware-slope-no-chain", "model-delta-count", "model-kappa-count",
         "model-nu-count", "model-transition-one-state", "estimate-runs-0", "ion-runs-neg",
         "ion-steps-0", "ion-steps-neg", "compile-steps-0", "estimate-steps-neg", "estimate-steps-not-multiple",
-        "tau-0", "tau-neg", "trajectories-0", "exact-cutoff-1", "ion-cutoff-1",
+        "tau-0", "tau-neg", "trajectories-0", "ehrenfest-tol-0", "ehrenfest-tol-nan", "ehrenfest-tol-neg",
+        "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg", "ehrenfest-sampling-unknown",
+        "exact-cutoff-1", "ion-cutoff-1",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
@@ -536,3 +548,14 @@ def test_sidecar_records_cutoff_search(tmp_path, flags):
     used = sidecar["exact" if "exact" in flags else "ion"]["cutoffs"]
     assert used.replace(" ", ",") in tried
     assert read_csv(out).populations.shape == (8, 2)
+
+
+def test_ehrenfest_sidecar_records_integrator(tmp_path):
+    out = tmp_path / "e.csv"
+    args = ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "4", "--grid-points", "5"]
+    assert main([*args, "--output", str(out)]) == 0
+    sidecar = configparser.ConfigParser()
+    sidecar.read(str(out) + ".meta.ini")
+    assert sidecar["meta"]["integrator"] == "DOP853, one batch of 4, rtol=atol=tol/sqrt(4)"
+    assert int(sidecar["meta"]["rhs_evals"]) > 0
+    assert "integrator" not in out.read_text()

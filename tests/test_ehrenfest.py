@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from ionvib import exact, model
+from ionvib import ehrenfest, exact, model
 from ionvib.ehrenfest import (
     EnsembleConfig,
     TrajectoryState,
@@ -11,6 +12,7 @@ from ionvib.ehrenfest import (
     sample_initial,
     trajectory_rng,
 )
+from ionvib.errors import InvalidModelError
 from ionvib.units import ev_to_rad_per_fs
 
 DELTA_W = ev_to_rad_per_fs(0.08679)
@@ -88,8 +90,6 @@ class TestTrajectory:
         state = TrajectoryState(c=[1.0, 0.0], q=[0.8, -0.5], p=[0.3, 0.6])
         e0 = mean_field_energy(spec, state)
         # re-integrate keeping full state at each grid point
-        from scipy.integrate import solve_ivp
-
         def rhs(t, y):
             c = y[:m]
             q = y[m : m + n].real
@@ -170,3 +170,93 @@ def test_intersection_model_runs_with_conserved_energy():
     pops = evolve_trajectory(spec, state, times, 1e-11)
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-8
     assert np.min(pops[:, 1]) >= 0.0 and np.max(pops[:, 1]) > 1e-3  # transfer happens
+
+
+@pytest.mark.parametrize(
+    "kwargs,key",
+    [
+        ({"tol": 0.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": -1e-3}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"sampling": "wigner_thermal", "nbar": -1.0}, "nbar"),
+        ({"sampling": "wigner_thermal", "nbar": float("nan")}, "nbar"),
+        ({"nbar": -1.0}, "nbar"),
+        ({"initial_state": -1}, "initial_state"),
+        ({"trajectories": 0}, "trajectories"),
+        ({"sampling": "uniform"}, "sampling"),
+    ],
+)
+def test_ensemble_config_rejects(kwargs, key):
+    with pytest.raises(InvalidModelError) as info:
+        EnsembleConfig(**kwargs)
+    assert info.value.key == key
+
+
+def test_initial_state_past_last_state_rejected():
+    spec = model.build_toy_model(2, 1.0)
+    with pytest.raises(InvalidModelError, match="initial state") as info:
+        ensemble_average(spec, EnsembleConfig(trajectories=2, initial_state=2), np.linspace(0, 10, 3))
+    assert info.value.key == "initial_state"
+
+
+def _standalone(spec, state, times, tol):
+    """One trajectory through its own solve_ivp call, with the written-out mean-field RHS."""
+    m, n = spec.state_count, spec.mode_count
+
+    def rhs(t, y):
+        c, q, p = y[:m], y[m : m + n].real, y[m + n :].real
+        h = spec.electronic_matrix(t) + np.tensordot(spec.kappa, np.sqrt(2) * q, axes=([2], [0]))
+        force = np.sqrt(2) * np.real(np.einsum("i,ijk,j->k", c.conj(), spec.kappa, c))
+        return np.concatenate(
+            [-1j * (h @ c), (spec.nu * p).astype(complex), (-spec.nu * q - force).astype(complex)]
+        )
+
+    y0 = np.concatenate([state.c, state.q.astype(complex), state.p.astype(complex)])
+    sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times, method="DOP853", rtol=tol, atol=tol)
+    assert sol.success
+    return np.abs(sol.y[:m].T) ** 2
+
+
+def _batched_and_standalone(lam, tau_fs, points, trajectories, seed):
+    spec = model.build_toy_model(2, lam)
+    times = np.linspace(0.0, tau_fs, points)
+    config = EnsembleConfig(trajectories=trajectories, seed=seed)
+    states = [sample_initial(config, spec, trajectory_rng(seed, r)) for r in range(trajectories)]
+    batched, _ = ehrenfest._integrate(spec, states, times, config.tol)
+    alone = np.stack([_standalone(spec, st, times, config.tol) for st in states])
+    return batched, alone
+
+
+@pytest.mark.parametrize("lam,tau_fs,points,trajectories", [(1.0, 200.0, 9, 32), (30.0, 50.0, 11, 32)])
+def test_batch_matches_standalone_trajectories(lam, tau_fs, points, trajectories):
+    # regular dynamics: each batched trajectory agrees with its own solve_ivp run
+    batched, alone = _batched_and_standalone(lam, tau_fs, points, trajectories, seed=3)
+    assert batched.shape == alone.shape == (trajectories, points, 2)
+    assert np.max(np.abs(batched - alone)) <= 1e-6
+
+
+def test_batch_matches_standalone_ensemble_statistics():
+    # chaotic at lambda = 5: single trajectories may differ, the ensemble means
+    # agree within their standard errors
+    batched, alone = _batched_and_standalone(5.0, 400.0, 40, 20, seed=3)
+    mean_b, mean_a = batched.mean(axis=0), alone.mean(axis=0)
+    se_b, se_a = (x.std(axis=0, ddof=1) / np.sqrt(len(x)) for x in (batched, alone))
+    scale = np.hypot(se_b, se_a)
+    spread = scale > 1e-12
+    assert np.max(np.abs(mean_b - mean_a)[~spread], initial=0.0) <= 1e-9
+    assert np.max(np.abs(mean_b - mean_a)[spread] / scale[spread]) <= 4.0
+
+
+def test_ensemble_is_one_solver_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["rtol"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(ehrenfest, "solve_ivp", counted)
+    spec = model.build_toy_model(2, 1.0)
+    tr = ensemble_average(spec, EnsembleConfig(trajectories=16, seed=1), np.linspace(0, 50, 4))
+    assert calls == [1e-10 / 4]
+    assert tr.metadata["rhs_evals"] > 0
