@@ -151,22 +151,26 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     if backend == "exact":
         ex = run_cfg.section("exact")
-        req = exact.PropagationRequest(
-            spec=spec,
-            times_fs=exact.default_time_grid(tau_fs, points),
-            initial_state=initial,
-            nbar=cfg.parse_value(ex, "nbar"),
-            cutoffs=_parse_cutoffs(ex),
-            eps_cut=cfg.parse_value(ex, "eps_cut"),
-            eps_int=cfg.parse_value(ex, "eps_int"),
-            frame=ex["frame"],
-        )
+        try:
+            req = exact.PropagationRequest(
+                spec=spec,
+                times_fs=exact.default_time_grid(tau_fs, points),
+                initial_state=initial,
+                nbar=cfg.parse_value(ex, "nbar"),
+                cutoffs=_parse_cutoffs(ex),
+                eps_cut=cfg.parse_value(ex, "eps_cut"),
+                eps_int=cfg.parse_value(ex, "eps_int"),
+                frame=ex["frame"],
+            )
+        except InvalidModelError as exc:
+            raise ConfigError(str(exc), key=exc.key) from None
         result = exact.propagate(req)
         result.to_csv(output)
         run_cfg.sections["exact"]["cutoffs"] = " ".join(str(c) for c in result.metadata["cutoffs"])
         diagnostics["cutoffs"] = result.metadata["cutoffs"]
         diagnostics["max_leakage"] = result.metadata["max_leakage"]
         diagnostics.update(_search_diagnostics(result.metadata["search_cutoffs"]))
+        diagnostics["matvecs"] = result.metadata["matvecs"]
         diagnostics["classical_wall_time_s"] = (
             f"{result.metadata['wall_time_s']:.3f} "
             "(this workbench's exact solver at the recorded convergence settings; "

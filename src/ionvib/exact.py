@@ -3,14 +3,21 @@
 Strategy:
 
 - time-independent Hamiltonians (lab frame, no drive or a constant-envelope
-  rotating-frame drive) are stepped between grid times by a Chebyshev series
-  for exp(-i H dt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
-  The spectral interval comes from the Gershgorin discs of H, which bound
-  every eigenvalue rigorously without an eigensolver; H is shifted and
-  scaled into [-1, 1], and the Bessel coefficients J_k(r dt) are computed
-  once per distinct step length of a run and cut where they drop below
-  1e-17.  Each step is then a fixed number of sparse matvecs and one global
-  phase, with no error control to set;
+  rotating-frame drive) go through Chebyshev series for exp(-i H t)
+  (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The spectral
+  interval comes from the Gershgorin discs of H, which bound every
+  eigenvalue rigorously without an eigensolver; H is shifted and scaled into
+  [-1, 1].  The grid is cut into windows of consecutive steps, and one
+  recurrence per window yields every grid state of the window from the same
+  T_k(X) psi vectors, so a window pays one Bessel tail instead of one per
+  step.  A window is the longest run of steps whose series stays within
+  ``SERIES_MAX`` terms (at least one step): the cap is on series length
+  because each term also costs one accumulation row per open grid point.
+  The Bessel coefficients J_k(r dt) are computed once per distinct step
+  length and cut below 1e-17; a window's rows are Chebyshev products of
+  them, since exp(-iXa) exp(-iXb) = exp(-iX(a+b)).  A window of W grid
+  points takes W + ``CHUNK`` + 2 state vectors of extra memory.  There is no
+  error control to set;
 - time-dependent Hamiltonians (interaction frame, explicit lab-frame drives)
   go through an adaptive high-order Runge-Kutta integrator (DOP853) with
   local error control set by ``eps_int``.  ``eps_int`` governs only this
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.chebyshev import chebmul
 from scipy.integrate import solve_ivp
 from scipy.special import jv
 
@@ -96,7 +104,14 @@ class PropagationRequest:
             raise InvalidModelError("time grid must be strictly increasing and start at 0")
         object.__setattr__(self, "times_fs", t)
         if self.frame not in ("lab", "interaction"):
-            raise InvalidModelError(f"unknown frame {self.frame!r}")
+            raise InvalidModelError(f"unknown frame {self.frame!r}", key="frame")
+        # NaN fails every comparison, so each check is written to reject it
+        for key in ("eps_cut", "eps_int"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise InvalidModelError(f"{key} must be finite and > 0, got {value}", key=key)
+        if not all(0 <= v < math.inf for v in np.ravel(self.nbar)):
+            raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
 
 
 class _Assembled:
@@ -122,18 +137,44 @@ class _Assembled:
 
 #: series coefficients below this magnitude are dropped
 CHEBYSHEV_CUT = 1e-17
+#: most terms one window's series may take.  A window is the longest run of
+#: grid steps whose summed series stays within this, and at least one step.
+#: Merging steps saves their Bessel tails (40-70 terms each at N = 2..4), but
+#: every term then also costs one accumulation row per grid point of the
+#: window still open, so the cap is on series length, not on a step count.
+#: Best-of-6 runs on toy N = 2..4 (1 BLAS thread) put 384 within 3 % of the
+#: fastest cap tried (128, 256, 320, 384, 512, none) on every case; 128 was
+#: 27-44 % slower and no cap 12 % slower at N = 2, lambda = 10.
+SERIES_MAX = 384
+#: U_k psi vectors computed between two accumulation GEMMs
+CHUNK = 32
+
+
+def _cut(coef: np.ndarray) -> np.ndarray:
+    """The series up to its last coefficient of magnitude CHEBYSHEV_CUT or more."""
+    kept = np.flatnonzero(np.abs(coef) >= CHEBYSHEV_CUT)
+    return coef[: kept[-1] + 1]
+
+
+def _unit(n: int) -> np.ndarray:
+    """(-i)^k for k = 0 .. n-1, exactly."""
+    return np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
 
 
 class _Chebyshev:
-    """exp(-i H dt) applied as a Chebyshev series in the rescaled Hermitian H.
+    """exp(-i H t) on a time grid, as Chebyshev series in the rescaled Hermitian H.
 
     With the Gershgorin interval [lo, hi] of H, center c and half-width r,
     X = (H - c) / r has its spectrum in [-1, 1] and
 
-        exp(-i H dt) = exp(-i c dt) sum_k (2 - delta_k0) (-i)^k J_k(r dt) T_k(X).
+        exp(-i H t) = exp(-i c t) sum_k (2 - delta_k0) J_k(r t) U_k(X),   U_k = (-i)^k T_k,
 
-    The coefficients depend only on dt and are cached per distinct dt.  When
-    r = 0, H is c times the identity and a step is the phase alone.
+    so the coefficients are real and U_k psi follows U_k = U_{k-2} - 2i X U_{k-1}.
+    The series of one step length is cached per distinct dt in ``_series``;
+    the Chebyshev products for the later grid points of a window, and each
+    window's (W, K) coefficient block, are cached by step sequence.  The W
+    accumulators of a window become its returned states.  When r = 0, H is c
+    times the identity and each step is the phase alone.
     """
 
     def __init__(self, h):
@@ -143,13 +184,16 @@ class _Chebyshev:
         hi = float(np.max(diag.real + radius))
         self.center = (hi + lo) / 2
         self.half_width = (hi - lo) / 2
-        self._two_x = None
+        self._step = None  # -2i X
         if self.half_width > 0:
             shifted = h - self.center * sp.identity(h.shape[0], dtype=complex, format="csr")
-            self._two_x = sp.csr_matrix(shifted * (2.0 / self.half_width))
+            self._step = sp.csr_matrix(shifted * (-2j / self.half_width))
         self._series = {}
+        self._rows = {}
+        self._blocks = {}
+        self.matvecs = 0
 
-    def _coefficients(self, dt: float):
+    def _coefficients(self, dt: float) -> np.ndarray:
         if dt not in self._series:
             z = self.half_width * dt
             # |J_k(z)| falls monotonically once k > z: search past z for the
@@ -157,23 +201,72 @@ class _Chebyshev:
             k = int(z) + 1
             while 2 * abs(jv(k, z)) >= CHEBYSHEV_CUT:
                 k += 8
-            orders = np.arange(k + 1)
-            coef = 2 * np.array([1, -1j, -1, 1j])[orders % 4] * jv(orders, z)  # 2 (-i)^k J_k
+            coef = 2 * jv(np.arange(k + 1), z)
             coef[0] /= 2
-            kept = np.flatnonzero(np.abs(coef) >= CHEBYSHEV_CUT)
-            self._series[dt] = (coef[: kept[-1] + 1], np.exp(-1j * self.center * dt))
+            self._series[dt] = _cut(coef)
         return self._series[dt]
 
-    def step(self, psi: np.ndarray, dt: float) -> np.ndarray:
-        coef, phase = self._coefficients(dt)
-        out = coef[0] * psi
-        if len(coef) > 1:
-            prev, cur = psi, 0.5 * (self._two_x @ psi)
-            out += coef[1] * cur
-            for c in coef[2:]:
-                prev, cur = cur, self._two_x @ cur - prev
-                out += c * cur
-        return phase * out
+    def _row(self, key: tuple) -> np.ndarray:
+        """U_k coefficients of exp(-i (H - c) sum(key)); the row of ``key[:-1]`` must be cached."""
+        if key not in self._rows:
+            step = self._coefficients(key[-1])
+            if len(key) > 1:
+                a, b = self._rows[key[:-1]], step
+                prod = chebmul(a * _unit(len(a)), b * _unit(len(b)))
+                step = _cut((prod * _unit(len(prod)).conj()).real)
+            self._rows[key] = step
+        return self._rows[key]
+
+    def _block(self, steps: list, start: int) -> tuple:
+        """Coefficient block, row series lengths and phases of the window from ``steps[start]``."""
+        key = (steps[start],)
+        self._row(key)
+        for dt in steps[start + 1 :]:
+            if len(self._row(key + (dt,))) > SERIES_MAX:
+                break
+            key += (dt,)
+        if key not in self._blocks:
+            rows = [self._row(key[: j + 1]) for j in range(len(key))]
+            ends = np.array([len(r) for r in rows])
+            coef = np.zeros((len(rows), ends.max()))
+            for j, r in enumerate(rows):
+                coef[j, : len(r)] = r
+            phases = np.exp(-1j * self.center * np.cumsum(key))
+            self._blocks[key] = (coef, ends, phases)
+        return self._blocks[key]
+
+    def evolve(self, psi0: np.ndarray, times: np.ndarray) -> list:
+        """The state at each grid time (first entry is psi0 itself)."""
+        steps = np.diff(times).tolist()
+        out = [psi0]
+        if self._step is None:
+            for dt in steps:
+                out.append(np.exp(-1j * self.center * dt) * out[-1])
+            return out
+        buf = np.empty((CHUNK + 2, len(psi0)), dtype=complex)
+        flat = buf.view(float)
+        while len(out) < len(times):
+            coef, ends, phases = self._block(steps, len(out) - 1)
+            psi = out[-1]
+            acc = np.zeros((len(coef), len(psi)), dtype=complex)
+            acc_flat = acc.view(float)
+            terms = coef.shape[1]
+            buf[2] = psi
+            if terms > 1:
+                buf[3] = 0.5 * (self._step @ psi)
+            filled = min(terms, 2)  # U_0 and U_1 start the first chunk
+            for k in range(0, terms, CHUNK):
+                n = min(CHUNK, terms - k)
+                for r in range(2 + filled, 2 + n):
+                    np.add(self._step @ buf[r - 1], buf[r - 2], out=buf[r])
+                filled = 0
+                first = int(np.argmax(ends > k))  # earlier rows' series have ended
+                acc_flat[first:] += coef[first:, k : k + n] @ flat[2 : 2 + n]
+                buf[:2] = buf[n : n + 2]
+            self.matvecs += terms - 1
+            acc *= phases[:, None]
+            out.extend(acc)
+        return out
 
 
 def _padded(layout: SpaceLayout, matrix: np.ndarray) -> np.ndarray:
@@ -192,13 +285,16 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
 
     else:
         static = sp.kron(_padded(layout, spec.electronic_matrix(0.0)), sp.identity(modes.dim), format="csr")
+    if frame == "lab" and spec.mode_count:
+        # sum_k nu_k n_k as one diagonal, repeated for every electronic state
+        levels = np.indices(layout.mode_cutoffs).reshape(spec.mode_count, -1)
+        static = static + sp.diags(np.tile(spec.nu @ levels, layout.electronic_dim), format="csr")
     time_terms = []
     for k in range(spec.mode_count):
         # K_k (x) a_k ; its Hermitian conjugate carries a_k^dag
         b = sp.kron(_padded(layout, spec.kappa[:, :, k]), hilbert.annihilation(modes, k), format="csr")
         if frame == "lab":
             static = static + b + b.getH()
-            static = static + spec.nu[k] * hilbert.number_operator(layout, k)
         else:
             nu_k = spec.nu[k]
             time_terms.append((lambda t, w=nu_k: np.exp(-1j * w * t), b))
@@ -253,11 +349,7 @@ def _populations_from_vector(psi: np.ndarray, layout: SpaceLayout, m: int) -> np
 def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_int: float):
     """Yield the state at each grid time (first entry is psi0 itself)."""
     if parts.is_static():
-        prop = parts.chebyshev()
-        out = [psi0]
-        for dt in np.diff(times):
-            out.append(prop.step(out[-1], dt))
-        return out
+        return parts.chebyshev().evolve(psi0, times)
 
     def rhs(t, y):
         v = parts.static @ y
@@ -286,9 +378,10 @@ def _run(request: PropagationRequest, cutoffs):
     """Propagate the thermal mixture at ``cutoffs``.
 
     Returns the mixture populations (T x M), its top-level leakage summed over
-    modes at each grid time, and per mode the largest top-level population of
-    the mixture at any grid time.  Both leakage figures come from one T x N
-    accumulator, so they always describe the same state.
+    modes at each grid time, per mode the largest top-level population of
+    the mixture at any grid time, and the Chebyshev matvecs spent (0 on the
+    DOP853 branch).  Both leakage figures come from one T x N accumulator, so
+    they always describe the same state.
     """
     spec = request.spec
     layout = layout_for(spec, cutoffs)
@@ -303,7 +396,8 @@ def _run(request: PropagationRequest, cutoffs):
         for idx, psi in enumerate(_propagate_pure(parts, psi0, times, request.eps_int)):
             pops[idx] += weight * _populations_from_vector(psi, layout, m)
             top[idx] += weight * hilbert.top_level_populations(layout, psi)
-    return pops, top.sum(axis=1), top.max(axis=0)
+    matvecs = parts.chebyshev().matvecs if parts.is_static() else 0
+    return pops, top.sum(axis=1), top.max(axis=0), matvecs
 
 
 def propagate(request: PropagationRequest) -> PopulationTrace:
@@ -313,16 +407,18 @@ def propagate(request: PropagationRequest) -> PopulationTrace:
     certifying run is the result.  The metadata records the cutoffs used, the
     worst-case top-level leakage, the number of distinct runs the search made
     (``search_runs``, 0 at fixed cutoffs) and the cutoff tuples it tried, in
-    order (``search_cutoffs``).
+    order (``search_cutoffs``), and the Chebyshev matvecs of every run made,
+    the search's included (``matvecs``).
     """
     start = time.perf_counter()
     runs = {}
     if request.cutoffs is None:
         cutoffs = converge_cutoffs(request, runs)
-        pops, leak, _ = runs[cutoffs]
+        pops, leak, _, _ = runs[cutoffs]
+        matvecs = sum(run[3] for run in runs.values())
     else:
         cutoffs = tuple(request.cutoffs)
-        pops, leak, _ = _run(request, cutoffs)
+        pops, leak, _, matvecs = _run(request, cutoffs)
     return PopulationTrace(
         times_fs=request.times_fs,
         populations=pops,
@@ -336,6 +432,7 @@ def propagate(request: PropagationRequest) -> PopulationTrace:
             "max_leakage": float(leak.max()),
             "search_runs": len(runs),
             "search_cutoffs": tuple(runs),
+            "matvecs": matvecs,
             # classical-cost counterpart for comparisons: this workbench's
             # exact solver at these convergence settings, not an external
             # tensor-network or hierarchy benchmark
@@ -377,7 +474,7 @@ def converge_cutoffs(request: PropagationRequest, runs: dict | None = None) -> t
         return runs[key]
 
     for _ in range(64):
-        base_pops, _, base_leak = run(cutoffs)
+        base_pops, _, base_leak, _ = run(cutoffs)
         bases.append(base_pops)
         grow = {}
         for k in range(n):

@@ -301,6 +301,7 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
 
 
 EHRENFEST_RUN = ["run", "--config", "{ini}", "--backend", "ehrenfest", "--trajectories", "2", "--grid-points", "4"]
+EXACT_RUN = ["run", "--config", "{ini}", "--backend", "exact", "--grid-points", "4"]
 
 
 @pytest.mark.parametrize(
@@ -388,6 +389,17 @@ EHRENFEST_RUN = ["run", "--config", "{ini}", "--backend", "ehrenfest", "--trajec
             ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "4", "--cutoffs", "4,1", "--grid-points", "4"],
             "cutoffs",
         ),
+        ("[model]\npreset = toy\n[exact]\neps_cut = nan\n", [*EXACT_RUN], "eps_cut"),
+        ("[model]\npreset = toy\n[exact]\neps_cut = inf\n", [*EXACT_RUN], "eps_cut"),
+        ("[model]\npreset = toy\n[exact]\neps_cut = 0\n", [*EXACT_RUN], "eps_cut"),
+        ("[model]\npreset = toy\n[exact]\neps_cut = -1e-4\n", [*EXACT_RUN], "eps_cut"),
+        ("[model]\npreset = toy\n[exact]\nframe = interaction\neps_int = 0\n", [*EXACT_RUN], "eps_int"),
+        ("[model]\npreset = toy\n[exact]\nframe = interaction\neps_int = nan\n", [*EXACT_RUN], "eps_int"),
+        ("[model]\npreset = toy\n[exact]\neps_int = -1e-3\n", [*EXACT_RUN], "eps_int"),
+        ("[model]\npreset = toy\n[exact]\nnbar = nan\n", [*EXACT_RUN], "nbar"),
+        ("[model]\npreset = toy\n[exact]\nnbar = -1\n", [*EXACT_RUN], "nbar"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--nbar", "-1"], "nbar"),
+        ("[model]\npreset = toy\n[exact]\nframe = rotating\n", [*EXACT_RUN], "frame"),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
@@ -397,7 +409,9 @@ EHRENFEST_RUN = ["run", "--config", "{ini}", "--backend", "ehrenfest", "--trajec
         "ion-steps-0", "ion-steps-neg", "compile-steps-0", "estimate-steps-neg", "estimate-steps-not-multiple",
         "tau-0", "tau-neg", "trajectories-0", "ehrenfest-tol-0", "ehrenfest-tol-nan", "ehrenfest-tol-neg",
         "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg", "ehrenfest-sampling-unknown",
-        "exact-cutoff-1", "ion-cutoff-1",
+        "exact-cutoff-1", "ion-cutoff-1", "exact-eps-cut-nan", "exact-eps-cut-inf", "exact-eps-cut-0",
+        "exact-eps-cut-neg", "exact-eps-int-0", "exact-eps-int-nan", "exact-eps-int-neg", "exact-nbar-nan",
+        "exact-nbar-neg", "exact-nbar-flag-neg", "exact-frame-unknown",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
@@ -548,6 +562,16 @@ def test_sidecar_records_cutoff_search(tmp_path, flags):
     used = sidecar["exact" if "exact" in flags else "ion"]["cutoffs"]
     assert used.replace(" ", ",") in tried
     assert read_csv(out).populations.shape == (8, 2)
+
+
+def test_exact_sidecar_records_matvecs(tmp_path):
+    out = tmp_path / "o.csv"
+    args = ["run", "--preset", "toy", "--modes", "2", "--lambda-over-delta", "1", "--grid-points", "8"]
+    assert main([*args, "--backend", "exact", "--output", str(out)]) == 0
+    sidecar = configparser.ConfigParser()
+    sidecar.read(str(out) + ".meta.ini")
+    assert int(sidecar["meta"]["matvecs"]) > 0
+    assert "matvecs" not in out.read_text()
 
 
 def test_ehrenfest_sidecar_records_integrator(tmp_path):

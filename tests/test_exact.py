@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.special import jv
 
 from ionvib import ehrenfest, exact, hilbert as hb, model
 from ionvib.errors import ConvergenceError, InvalidModelError
@@ -222,6 +223,53 @@ class TestChebyshev:
         exact._propagate_pure(parts, psi0, np.array([0.0, 10.0]), 1e-8)
         assert sorted(parts.chebyshev()._series) == [10.0, 15.0]
 
+    # plet's spectrum is narrow (r * 400 fs ~ 22), so its grid spans 20 ps to cross windows
+    @pytest.mark.parametrize("name,span_fs", [("toy", 400.0), ("plet", 20000.0)])
+    def test_windows_match_dense_exponential(self, name, span_fs):
+        spec, cutoffs = _static_specs()[name]
+        layout = exact.layout_for(spec, cutoffs)
+        parts = exact.hamiltonian_parts(spec, layout)
+        h = parts.static.toarray()
+        rng = np.random.default_rng(11)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span_fs, 49))])
+        psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        psi0 /= np.linalg.norm(psi0)
+        states = exact._propagate_pure(parts, psi0, times, 1e-8)
+        assert len(parts.chebyshev()._blocks) > 1
+        ref = psi0
+        for i, dt in enumerate(np.diff(times)):
+            ref = expm(-1j * dt * h) @ ref
+            assert np.max(np.abs(states[i + 1] - ref)) <= 1e-12
+
+    def test_block_rows_are_the_series_of_the_summed_steps(self):
+        spec, cutoffs = _static_specs()["toy"]
+        prop = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs)).chebyshev()
+        steps = [10.0, 7.5, 10.0, 3.25]
+        coef, ends, phases = prop._block(steps, 0)
+        assert len(coef) == len(steps)
+        for j, tau in enumerate(np.cumsum(steps)):
+            series = 2 * jv(np.arange(coef.shape[1]), prop.half_width * tau)
+            series[0] /= 2
+            assert np.max(np.abs(coef[j] - series)) <= 1e-14
+            assert abs(series[ends[j]:]).max(initial=0.0) < exact.CHEBYSHEV_CUT
+            assert phases[j] == pytest.approx(np.exp(-1j * prop.center * tau), abs=1e-14)
+
+    def test_windowed_run_needs_fewer_matvecs(self):
+        # one series per grid step needed 39 steps x 80 terms here (3120 terms, 3081 matvecs)
+        spec = model.build_toy_model(2, 10.0)
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(400.0, 40), cutoffs=(20, 18))
+        assert 0 < exact.propagate(req).metadata["matvecs"] <= 0.65 * 3120
+
+    def test_matvecs_count_every_run_of_the_search(self):
+        spec = model.build_toy_model(2, 1.0)
+        req = exact.PropagationRequest(spec=spec, times_fs=exact.default_time_grid(400.0, 8))
+        runs = {}
+        cutoffs = exact.converge_cutoffs(req, runs)
+        assert exact.propagate(req).metadata["matvecs"] == sum(run[3] for run in runs.values()) > runs[cutoffs][3]
+        fixed = replace(req, cutoffs=cutoffs)
+        assert exact.propagate(fixed).metadata["matvecs"] == runs[cutoffs][3] > 0
+        assert exact.propagate(replace(fixed, frame="interaction")).metadata["matvecs"] == 0
+
 
 class TestCutoffSearch:
     @pytest.mark.parametrize(
@@ -363,6 +411,15 @@ def test_integer_initial_state_out_of_range(initial):
     )
     with pytest.raises(InvalidModelError, match="initial state"):
         exact.propagate(req)
+
+
+@pytest.mark.parametrize("nbar", [(0.1, -0.1), (math.nan, 0.1)], ids=["negative", "nan"])
+def test_request_rejects_bad_per_mode_nbar(nbar):
+    # the CLI passes one nbar; per-mode values reach the request only from code
+    spec = model.build_toy_model(2, 1.0)
+    with pytest.raises(InvalidModelError) as info:
+        exact.PropagationRequest(spec=spec, times_fs=np.array([0.0, 5.0]), nbar=nbar)
+    assert info.value.key == "nbar"
 
 
 def test_wall_time_recorded():
