@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 config/parse error, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -112,10 +113,10 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     backend = run["backend"]
     output = run["output"]
     tau_fs = cfg.parse_value(run, "tau_fs")
-    if not tau_fs > 0:
-        raise ConfigError(f"must be positive, got {tau_fs}", key="tau_fs")
+    if not 0 < tau_fs < math.inf:
+        raise ConfigError(f"must be finite and positive, got {tau_fs}", key="tau_fs")
     points = _at_least(run, "grid_points", 1)
-    seed = cfg.parse_value(run, "seed", int)
+    seed = _at_least(run, "seed", 0)
     initial = cfg.parse_value(run, "initial_state", int)
     diagnostics = {}
 
@@ -151,6 +152,10 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     if backend == "exact":
         ex = run_cfg.section("exact")
+        # the frame rotation is diagonal in the Fock basis, so both frames give
+        # the same populations and leakage, and both values run the same solver
+        if ex["frame"] not in ("lab", "interaction"):
+            raise ConfigError(f"unknown frame {ex['frame']!r}", key="frame")
         try:
             req = exact.PropagationRequest(
                 spec=spec,
@@ -160,7 +165,6 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
                 cutoffs=_parse_cutoffs(ex),
                 eps_cut=cfg.parse_value(ex, "eps_cut"),
                 eps_int=cfg.parse_value(ex, "eps_int"),
-                frame=ex["frame"],
             )
         except InvalidModelError as exc:
             raise ConfigError(str(exc), key=exc.key) from None

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 
 import numpy as np
 
@@ -272,7 +273,7 @@ def hardware_from_sections(sections) -> HardwareParams:
         }
         cal = {n: (slopes[n], floors.get(n, 0.0)) for n in slopes}
     rabi = _sized(h, "sideband_rabi_khz", floats, 2) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
-    return HardwareParams(
+    hw = HardwareParams(
         mode_frequency_bands_mhz=parse_value(h, "mode_frequency_bands_mhz", pairs)
         if "mode_frequency_bands_mhz" in h
         else defaults.mode_frequency_bands_mhz,
@@ -288,6 +289,25 @@ def hardware_from_sections(sections) -> HardwareParams:
         measurement_us=parse_value(h, "measurement_us", float, defaults.measurement_us),
         duration_calibration=cal,
     )
+    for key, values, zero_ok, inf_ok in (
+        ("sideband_rabi_khz", hw.sideband_rabi_khz, False, False),
+        ("carrier_rabi_khz", [hw.carrier_rabi_khz], False, False),
+        # an infinite coherence time means no decay
+        ("motional_coherence_ms", [hw.motional_coherence_ms], False, True),
+        ("laser_coherence_ms", [hw.laser_coherence_ms], False, True),
+        ("heating_rate_quanta_per_s", [hw.heating_rate_quanta_per_s], True, False),
+        ("cooling_ms", [hw.cooling_ms], True, False),
+        ("state_prep_us", [hw.state_prep_us], True, False),
+        ("measurement_us", [hw.measurement_us], True, False),
+        ("duration_slope_us_per_rad", [c for c, _ in cal.values()], False, False),
+        ("duration_floor_us", [f for _, f in cal.values()], True, False),
+    ):
+        for v in values:
+            # NaN fails both comparisons
+            if not ((v >= 0 if zero_ok else v > 0) and (inf_ok or v < math.inf)):
+                rule = ("" if inf_ok else "finite and ") + (">= 0" if zero_ok else "> 0")
+                raise ConfigError(f"must be {rule}, got {v!r}", key=key)
+    return hw
 
 
 def load_hardware(path) -> HardwareParams:

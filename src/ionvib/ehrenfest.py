@@ -80,6 +80,10 @@ class EnsembleConfig:
             raise InvalidModelError(f"unknown sampling scheme {self.sampling!r}", key="sampling")
         if not (np.isfinite(self.nbar) and self.nbar >= 0):
             raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
+        if self.sampling == "wigner_ground" and self.nbar > 0:
+            raise InvalidModelError(
+                f"wigner_ground samples nbar = 0; use wigner_thermal for nbar = {self.nbar}", key="sampling"
+            )
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise InvalidModelError(f"tol must be finite and > 0, got {self.tol}", key="tol")
         if self.initial_state < 0:
@@ -96,7 +100,7 @@ def sample_initial(config: EnsembleConfig, spec: LvcmSpec, rng: np.random.Genera
         raise InvalidModelError(
             f"initial state must be 0 .. {spec.state_count - 1}, got {config.initial_state}", key="initial_state"
         )
-    var = 0.5 if config.sampling == "wigner_ground" else config.nbar + 0.5
+    var = config.nbar + 0.5
     n = spec.mode_count
     q = rng.normal(0.0, np.sqrt(var), size=n)
     p = rng.normal(0.0, np.sqrt(var), size=n)

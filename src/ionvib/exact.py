@@ -2,8 +2,8 @@
 
 Strategy:
 
-- time-independent Hamiltonians (lab frame, no drive or a constant-envelope
-  rotating-frame drive) go through Chebyshev series for exp(-i H t)
+- time-independent Hamiltonians (no drive, or a constant-envelope
+  rotating-wave drive) go through Chebyshev series for exp(-i H t)
   (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The spectral
   interval comes from the Gershgorin discs of H, which bound every
   eigenvalue rigorously without an eigensolver; H is shifted and scaled into
@@ -18,10 +18,9 @@ Strategy:
   them, since exp(-iXa) exp(-iXb) = exp(-iX(a+b)).  A window of W grid
   points takes W + ``CHUNK`` + 2 state vectors of extra memory.  There is no
   error control to set;
-- time-dependent Hamiltonians (interaction frame, explicit lab-frame drives)
-  go through an adaptive high-order Runge-Kutta integrator (DOP853) with
-  local error control set by ``eps_int``.  ``eps_int`` governs only this
-  branch.
+- time-dependent Hamiltonians (Gaussian or non-RWA drive) go through an
+  adaptive high-order Runge-Kutta integrator (DOP853) with local error
+  control set by ``eps_int``.  ``eps_int`` governs only this branch.
 
 The electronic Hamiltonian, drive and rotating-wave convention included, is
 ``LvcmSpec.electronic_matrix``; this module never reads the drive itself.  A
@@ -63,6 +62,10 @@ from .trace import PopulationTrace
 
 DEFAULT_TAU_FS = 400.0
 DEFAULT_GRID_POINTS = 40
+#: the cutoff search fails once any mode's cutoff would pass this
+MAX_CUTOFF = 64
+#: thermal-mixture Fock products below this weight are dropped (the rest renormalized)
+WEIGHT_FLOOR = 1e-12
 
 
 def default_time_grid(tau_fs: float = DEFAULT_TAU_FS, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -95,16 +98,12 @@ class PropagationRequest:
     cutoffs: tuple | None = None
     eps_cut: float = 1e-4
     eps_int: float = 1e-8
-    frame: str = "lab"
-    max_cutoff: int = 64
 
     def __post_init__(self):
         t = np.asarray(self.times_fs, dtype=float)
         if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise InvalidModelError("time grid must be strictly increasing and start at 0")
         object.__setattr__(self, "times_fs", t)
-        if self.frame not in ("lab", "interaction"):
-            raise InvalidModelError(f"unknown frame {self.frame!r}", key="frame")
         # NaN fails every comparison, so each check is written to reject it
         for key in ("eps_cut", "eps_int"):
             value = getattr(self, key)
@@ -115,18 +114,17 @@ class PropagationRequest:
 
 
 class _Assembled:
-    """Static sparse matrix, (coefficient(t), matrix) pairs for rotating terms, and
-    the electronic matrix E(t) on the electronic factor when the model's own is
-    time-dependent (else ``None``, and E is in ``static``)."""
+    """Static sparse matrix, and the electronic matrix E(t) on the electronic
+    factor when the model's own is time-dependent (else ``None``, and E is in
+    ``static``)."""
 
-    def __init__(self, static, time_terms, electronic=None):
+    def __init__(self, static, electronic=None):
         self.static = static
-        self.time_terms = time_terms
         self.electronic = electronic
         self._chebyshev = None
 
     def is_static(self) -> bool:
-        return not self.time_terms and self.electronic is None
+        return self.electronic is None
 
     def chebyshev(self) -> _Chebyshev:
         """The static part's propagator, built once and shared by every state of a run."""
@@ -274,7 +272,7 @@ def _padded(layout: SpaceLayout, matrix: np.ndarray) -> np.ndarray:
     return np.pad(matrix, (0, layout.electronic_dim - len(matrix)))
 
 
-def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -> _Assembled:
+def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> _Assembled:
     modes = SpaceLayout(0, layout.mode_cutoffs)
     electronic = None
     if spec.is_time_dependent():
@@ -285,21 +283,15 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout, frame: str = "lab") -
 
     else:
         static = sp.kron(_padded(layout, spec.electronic_matrix(0.0)), sp.identity(modes.dim), format="csr")
-    if frame == "lab" and spec.mode_count:
+    if spec.mode_count:
         # sum_k nu_k n_k as one diagonal, repeated for every electronic state
         levels = np.indices(layout.mode_cutoffs).reshape(spec.mode_count, -1)
         static = static + sp.diags(np.tile(spec.nu @ levels, layout.electronic_dim), format="csr")
-    time_terms = []
     for k in range(spec.mode_count):
         # K_k (x) a_k ; its Hermitian conjugate carries a_k^dag
         b = sp.kron(_padded(layout, spec.kappa[:, :, k]), hilbert.annihilation(modes, k), format="csr")
-        if frame == "lab":
-            static = static + b + b.getH()
-        else:
-            nu_k = spec.nu[k]
-            time_terms.append((lambda t, w=nu_k: np.exp(-1j * w * t), b))
-            time_terms.append((lambda t, w=nu_k: np.exp(+1j * w * t), b.getH()))
-    return _Assembled(sp.csr_matrix(static, dtype=complex), [(f, sp.csr_matrix(m)) for f, m in time_terms], electronic)
+        static = static + b + b.getH()
+    return _Assembled(sp.csr_matrix(static, dtype=complex), electronic)
 
 
 def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndarray:
@@ -317,7 +309,7 @@ def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndar
     return vec
 
 
-def _thermal_mixture(spec: LvcmSpec, layout: SpaceLayout, nbar, weight_floor: float = 1e-12):
+def _thermal_mixture(spec: LvcmSpec, layout: SpaceLayout, nbar):
     """Fock product states and weights representing the thermal initial condition.
 
     ``nbar`` may be a single occupation shared by all modes or one per mode.
@@ -329,12 +321,10 @@ def _thermal_mixture(spec: LvcmSpec, layout: SpaceLayout, nbar, weight_floor: fl
         if len(nbars) != layout.mode_count:
             raise InvalidModelError("need one nbar per mode")
     per_mode = [hilbert.thermal_weights(d, nb) for d, nb in zip(layout.mode_cutoffs, nbars)]
-    if not per_mode:
-        return [((), 1.0)]
     combos = []
     for levels in itertools.product(*[range(len(w)) for w in per_mode]):
         w = math.prod(per_mode[k][n] for k, n in enumerate(levels))
-        if w >= weight_floor:
+        if w >= WEIGHT_FLOOR:
             combos.append((levels, w))
     total = sum(w for _, w in combos)
     return [(levels, w / total) for levels, w in combos]
@@ -352,13 +342,8 @@ def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_
         return parts.chebyshev().evolve(psi0, times)
 
     def rhs(t, y):
-        v = parts.static @ y
-        if parts.electronic is not None:
-            e = parts.electronic(t)
-            v += (e @ y.reshape(len(e), -1)).ravel()
-        for fn, mat in parts.time_terms:
-            v = v + fn(t) * (mat @ y)
-        return -1j * v
+        e = parts.electronic(t)
+        return -1j * (parts.static @ y + (e @ y.reshape(len(e), -1)).ravel())
 
     sol = solve_ivp(
         rhs,
@@ -385,7 +370,7 @@ def _run(request: PropagationRequest, cutoffs):
     """
     spec = request.spec
     layout = layout_for(spec, cutoffs)
-    parts = hamiltonian_parts(spec, layout, request.frame)
+    parts = hamiltonian_parts(spec, layout)
     elec = _initial_electronic(spec, layout, request.initial_state)
     m = spec.state_count
     times = request.times_fs
@@ -425,7 +410,6 @@ def propagate(request: PropagationRequest) -> PopulationTrace:
         leakage=leak,
         metadata={
             "method": "exact",
-            "frame": request.frame,
             "cutoffs": cutoffs,
             "nbar": request.nbar,
             "eps_int": request.eps_int,
@@ -492,6 +476,6 @@ def converge_cutoffs(request: PropagationRequest, runs: dict | None = None) -> t
             return tuple(cutoffs)
         for k, step in grow.items():
             cutoffs[k] += step
-            if cutoffs[k] > request.max_cutoff:
-                raise failure(f"mode {k} cutoff exceeded {request.max_cutoff} before convergence")
+            if cutoffs[k] > MAX_CUTOFF:
+                raise failure(f"mode {k} cutoff exceeded {MAX_CUTOFF} before convergence")
     raise failure("cutoff search did not terminate")

@@ -302,6 +302,8 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
 
 EHRENFEST_RUN = ["run", "--config", "{ini}", "--backend", "ehrenfest", "--trajectories", "2", "--grid-points", "4"]
 EXACT_RUN = ["run", "--config", "{ini}", "--backend", "exact", "--grid-points", "4"]
+NOISY_HW_RUN = ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "4", "--cutoffs", "4,4"]
+NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
 
 
 @pytest.mark.parametrize(
@@ -400,6 +402,41 @@ EXACT_RUN = ["run", "--config", "{ini}", "--backend", "exact", "--grid-points", 
         ("[model]\npreset = toy\n[exact]\nnbar = -1\n", [*EXACT_RUN], "nbar"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--nbar", "-1"], "nbar"),
         ("[model]\npreset = toy\n[exact]\nframe = rotating\n", [*EXACT_RUN], "frame"),
+        ("[hardware]\nmotional_coherence_ms = 0\n", [*NOISY_HW_RUN], "motional_coherence_ms"),
+        ("[hardware]\nmotional_coherence_ms = -36\n", [*NOISY_HW_RUN], "motional_coherence_ms"),
+        ("[hardware]\nheating_rate_quanta_per_s = nan\n", [*NOISY_HW_RUN], "heating_rate_quanta_per_s"),
+        ("[hardware]\nsideband_rabi_khz = 1.47 inf\n", [*NOISY_HW_RUN], "sideband_rabi_khz"),
+        (
+            "[hardware]\ncarrier_rabi_khz = 0\n",
+            ["compile", "--preset", "vaet", "--steps", "4", "--hardware", "{ini}"],
+            "carrier_rabi_khz",
+        ),
+        (
+            "[hardware]\ncooling_ms = -4\n",
+            ["estimate", "--lambdas", "1", "--modes-list", "2", "--hardware", "{ini}"],
+            "cooling_ms",
+        ),
+        (
+            "[hardware]\nduration_slope_us_per_rad = 2:-1\n",
+            ["compile", "--preset", "toy", "--steps", "4", "--hardware", "{ini}"],
+            "duration_slope_us_per_rad",
+        ),
+        (
+            "[hardware]\nduration_slope_us_per_rad = 2:1\nduration_floor_us = 2:-1\n",
+            ["compile", "--preset", "toy", "--steps", "4", "--hardware", "{ini}"],
+            "duration_floor_us",
+        ),
+        (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "2", "--seed", "-1"], "seed"),
+        (
+            None,
+            ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "4", "--cutoffs", "4,4", "--runs", "10"]
+            + ["--grid-points", "4", "--seed", "-1"],
+            "seed",
+        ),
+        (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "2", "--tau-fs", "inf"], "tau_fs"),
+        (None, ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "4", "--tau-fs", "inf"], "tau_fs"),
+        (None, ["run", "--preset", "toy", "--backend", "exact", "--tau-fs", "inf"], "tau_fs"),
+        ("[model]\npreset = toy\n[ehrenfest]\nnbar = 2.0\n", [*EHRENFEST_RUN], "sampling"),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
@@ -411,7 +448,11 @@ EXACT_RUN = ["run", "--config", "{ini}", "--backend", "exact", "--grid-points", 
         "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg", "ehrenfest-sampling-unknown",
         "exact-cutoff-1", "ion-cutoff-1", "exact-eps-cut-nan", "exact-eps-cut-inf", "exact-eps-cut-0",
         "exact-eps-cut-neg", "exact-eps-int-0", "exact-eps-int-nan", "exact-eps-int-neg", "exact-nbar-nan",
-        "exact-nbar-neg", "exact-nbar-flag-neg", "exact-frame-unknown",
+        "exact-nbar-neg", "exact-nbar-flag-neg", "exact-frame-unknown", "hardware-motional-coherence-0",
+        "hardware-motional-coherence-neg", "hardware-heating-nan", "hardware-sideband-rabi-inf",
+        "hardware-carrier-rabi-0", "hardware-cooling-neg", "hardware-slope-neg", "hardware-floor-neg",
+        "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
+        "ehrenfest-ground-nbar",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
@@ -572,6 +613,22 @@ def test_exact_sidecar_records_matvecs(tmp_path):
     sidecar.read(str(out) + ".meta.ini")
     assert int(sidecar["meta"]["matvecs"]) > 0
     assert "matvecs" not in out.read_text()
+
+
+def test_interaction_frame_runs_the_lab_solver(tmp_path):
+    # both frames give the same populations, so the key picks no solver
+    outs = {}
+    for frame in ("lab", "interaction"):
+        ini = tmp_path / f"{frame}.ini"
+        ini.write_text(f"[model]\npreset = toy\n[exact]\nframe = {frame}\ncutoffs = 6 6\n")
+        outs[frame] = tmp_path / f"{frame}.csv"
+        args = ["run", "--config", str(ini), "--backend", "exact", "--grid-points", "8"]
+        assert main([*args, "--output", str(outs[frame])]) == 0
+    assert outs["interaction"].read_bytes() == outs["lab"].read_bytes()
+    sidecar = configparser.ConfigParser()
+    sidecar.read(str(outs["interaction"]) + ".meta.ini")
+    assert sidecar["exact"]["frame"] == "interaction"
+    assert int(sidecar["meta"]["matvecs"]) > 0
 
 
 def test_ehrenfest_sidecar_records_integrator(tmp_path):
