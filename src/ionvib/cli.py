@@ -135,7 +135,14 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
             trotter_steps=steps,
             hardware=run_cfg.hardware(),
         )
-        rows = estimator.experimental_time(plan)
+        try:
+            rows = estimator.experimental_time(plan)
+        except InvalidModelError as exc:
+            if exc.key is None:
+                raise
+            # the grid's toy models take their values from these keys
+            key = {"lambda_over_delta": "lambdas", "modes": "modes_list"}.get(exc.key, exc.key)
+            raise ConfigError(str(exc), key=key) from None
         estimator.rows_to_csv(rows, output)
         diagnostics["overhead_baseline_s"] = estimator.overhead_baseline_s(plan)
         diagnostics["longest_run_operation_ms"] = "; ".join(

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, InvalidModelError
 from .model import (
     DriveSpec,
     Envelope,
@@ -123,6 +123,10 @@ def spec_from_sections(sections) -> LvcmSpec:
         return _spec_from_model(model, sections)
     except KeyError as exc:
         raise ConfigError("model config is missing a required setting", key=exc.args[0]) from None
+    except InvalidModelError as exc:
+        if exc.key is None:
+            raise
+        raise ConfigError(str(exc), key=exc.key) from None
 
 
 def _envelope(section: dict) -> Envelope:
@@ -356,10 +360,6 @@ class RunConfig:
     """Fully resolved run settings, ready to execute or to serialize as a sidecar."""
 
     sections: dict
-
-    @property
-    def backend(self) -> str:
-        return self.sections["run"]["backend"]
 
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})

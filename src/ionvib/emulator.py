@@ -9,16 +9,18 @@ with H_pulse = (angle/duration) * generator (rad/us) and collapse operators
 
 - motional dephasing  sqrt(2 gamma_m) a^dag a   per mode, always on,
 - heating             sqrt(Gamma_h) a^dag       per mode, always on (upward
-  only; the symmetric variant adds sqrt(Gamma_h) a behind a flag),
+  only),
 - laser dephasing     sqrt(gamma_L / 2) Z       per qubit, only while a pulse
   addresses that qubit.
 
 Rates come from the hardware coherence times: a coherence time T means
 adjacent-level coherences decay as e^{-t/T}, so gamma_m = 1/T_motional and
 gamma_L = 1/T_laser; the heating rate is quoted in quanta/s and converted to
-1/us.  Virtual frame ops take zero lab time and apply as exact unitaries.
-Cooling, state preparation, and measurement intervals are not noise-integrated
-(the state is re-prepared every run).
+1/us.  The rates are read from :class:`~ionvib.pulses.HardwareParams` alone;
+:class:`NoiseChannels` only switches channels on or off.  Virtual frame ops
+take zero lab time and apply as exact unitaries.  Cooling, state preparation,
+and measurement intervals are not noise-integrated (the state is re-prepared
+every run).
 
 Each pulse is a constant-generator segment, and every collapse operator acts
 on a single tensor factor, so a pulse's propagator factors exactly:
@@ -88,15 +90,11 @@ RHO_COPIES = 8
 
 @dataclass(frozen=True)
 class NoiseChannels:
-    """Per-channel enable flags and rate multipliers."""
+    """Per-channel enable flags, one per ``[ion]`` config key."""
 
     motional_dephasing: bool = True
     heating: bool = True
     laser_dephasing: bool = True
-    motional_dephasing_scale: float = 1.0
-    heating_scale: float = 1.0
-    laser_dephasing_scale: float = 1.0
-    symmetric_heating: bool = False
 
     @classmethod
     def all_off(cls) -> "NoiseChannels":
@@ -122,19 +120,15 @@ def channel_rates_per_us(channels: NoiseChannels, hardware: HardwareParams) -> d
     """Active collapse rates in 1/us."""
     rates = {}
     if channels.motional_dephasing:
-        rates["motional_dephasing"] = (
-            channels.motional_dephasing_scale / (hardware.motional_coherence_ms * US_PER_MS)
-        )
+        rates["motional_dephasing"] = 1.0 / (hardware.motional_coherence_ms * US_PER_MS)
     if channels.heating:
-        rates["heating"] = channels.heating_scale * hardware.heating_rate_quanta_per_s / US_PER_S
+        rates["heating"] = hardware.heating_rate_quanta_per_s / US_PER_S
     if channels.laser_dephasing:
-        rates["laser_dephasing"] = (
-            channels.laser_dephasing_scale / (hardware.laser_coherence_ms * US_PER_MS)
-        )
+        rates["laser_dephasing"] = 1.0 / (hardware.laser_coherence_ms * US_PER_MS)
     return rates
 
 
-def _collapse_ops(n_qubits: int, cutoff: int, rates: dict, channels: NoiseChannels) -> list:
+def _collapse_ops(n_qubits: int, cutoff: int, rates: dict) -> list:
     """Collapse operators on an op's own factors: its qubits, then its mode (if ``cutoff``).
 
     Laser Z acts on each of the qubits; the always-on operators act on the mode.
@@ -147,10 +141,7 @@ def _collapse_ops(n_qubits: int, cutoff: int, rates: dict, channels: NoiseChanne
         if "motional_dephasing" in rates:
             ops.append(math.sqrt(2.0 * rates["motional_dephasing"]) * number_operator(local, 0))
         if "heating" in rates:
-            a = annihilation(local, 0)
-            ops.append(math.sqrt(rates["heating"]) * a.T)
-            if channels.symmetric_heating:
-                ops.append(math.sqrt(rates["heating"]) * a)
+            ops.append(math.sqrt(rates["heating"]) * annihilation(local, 0).T)
     return ops
 
 
@@ -247,7 +238,7 @@ def lindblad_step(
     prop = cache.get(key)
     if prop is None:
         h0 = (pulse.angle / t_us) * sp.csr_matrix(base_generator(pulse.kind, cutoff))
-        collapse = _collapse_ops(len(pulse.qubits), cutoff, rates, channels)
+        collapse = _collapse_ops(len(pulse.qubits), cutoff, rates)
         prop = cache[key] = _propagator(_liouvillian(h0, collapse), t_us)
     t = _apply_channel(rho.reshape(layout.factors() * 2), prop, axes, np.kron(d, d.conj()))
     if "motional_dephasing" in rates or "heating" in rates:
@@ -257,7 +248,7 @@ def lindblad_step(
             prop = cache.get((dk, t_us))
             if prop is None:
                 free = sp.csr_matrix((dk, dk), dtype=complex)
-                idle = _liouvillian(free, _collapse_ops(0, dk, rates, channels))
+                idle = _liouvillian(free, _collapse_ops(0, dk, rates))
                 prop = cache[(dk, t_us)] = _propagator(idle, t_us)
             t = _apply_channel(t, prop, [layout.qubit_count + k])
     rho = t.reshape(rho.shape)

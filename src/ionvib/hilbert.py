@@ -6,13 +6,6 @@ Conventions used throughout the workbench:
   order.  All embedding helpers follow this order.
 - Qubit basis is (|0>, |1>) with Z = diag(1, -1).  The ladder operators are
   ``plus`` = |1><0| and ``minus`` = |0><1|.
-- The equatorial spin operator with phase phi is
-
-      sigma_phi(phi) = e^{-i phi} |1><0| + e^{+i phi} |0><1|
-
-  so sigma_phi(0) = X and sigma_phi(-pi/2) = Y.  The sign of phi is a field
-  phase relabeling; this orientation is fixed so the phi = -pi/2 axis is the
-  standard Pauli Y.
 - Mode k is truncated to Fock levels |0> .. |d_k - 1> with <n-1|a|n> = sqrt(n).
 
 Operators are plain scipy CSR matrices on the layout they are asked for and
@@ -136,12 +129,6 @@ def number_operator(layout: SpaceLayout, mode_index: int) -> sp.csr_matrix:
     return _embed(layout, layout.qubit_count + mode_index, n)
 
 
-def quadrature_phase(layout: SpaceLayout, mode_index: int, phi_m: float = 0.0) -> sp.csr_matrix:
-    """b e^{+i phi_m} + b^dag e^{-i phi_m} for one mode (phi_m = 0 gives a + a^dag)."""
-    m = annihilation(layout, mode_index) * np.exp(1j * phi_m)
-    return m + m.getH()
-
-
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -159,14 +146,6 @@ def pauli(layout: SpaceLayout, qubit_index: int, axis: str) -> sp.csr_matrix:
     if key not in _PAULI:
         raise InvalidModelError(f"unknown Pauli axis {axis!r}")
     return _embed(layout, qubit_index, _PAULI[key])
-
-
-def sigma_phi(layout: SpaceLayout, qubit_index: int, phi: float) -> sp.csr_matrix:
-    """Equatorial spin operator: phi = 0 is X, phi = -pi/2 is Y."""
-    m = np.exp(-1j * phi) * _PAULI["plus"] + np.exp(1j * phi) * _PAULI["minus"]
-    if not 0 <= qubit_index < layout.qubit_count:
-        raise InvalidModelError(f"qubit index {qubit_index} out of range")
-    return _embed(layout, qubit_index, m)
 
 
 def thermal_weights(cutoff: int, nbar: float) -> np.ndarray:

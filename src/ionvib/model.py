@@ -203,12 +203,16 @@ def build_toy_model(n_modes: int, lambda_over_delta: float) -> LvcmSpec:
     The off-diagonal electronic coupling is Delta/2 and the diagonal couplings
     are +kappa/2 (donor) and -kappa/2 (acceptor) on every mode, with kappa
     chosen so the reorganization energy kappa^2 sum 1/nu equals
-    lambda_over_delta times Delta.
+    lambda_over_delta times Delta.  N < 1 and a negative or non-finite
+    lambda_over_delta raise :class:`InvalidModelError` naming the config key.
     """
     if n_modes < 1:
-        raise InvalidModelError("need at least one bath mode")
-    if lambda_over_delta < 0:
-        raise InvalidModelError("lambda/Delta must be non-negative")
+        raise InvalidModelError(f"need at least one bath mode, got {n_modes}", key="modes")
+    # NaN fails the comparison
+    if not 0 <= lambda_over_delta < math.inf:
+        raise InvalidModelError(
+            f"lambda/Delta must be finite and >= 0, got {lambda_over_delta}", key="lambda_over_delta"
+        )
     delta_w = ev_to_rad_per_fs(TOY_DELTA_EV)
     nu = ev_to_rad_per_fs(toy_frequencies_ev(n_modes))
     lam = lambda_over_delta * delta_w

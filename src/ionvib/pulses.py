@@ -10,7 +10,10 @@ Native operations and their unit-angle generators (``U = exp(-i angle G)``):
 - ``disp``: G = b e^{i phi_m} + b^dag e^{-i phi_m}, a spin-independent motional
   drive used for the trace part of diagonal couplings.
 
-Angles are non-negative; signs fold into the phases.
+Angles are non-negative; signs fold into the phases.  The equatorial spin
+operator is sigma^phi = e^{-i phi} |1><0| + e^{+i phi} |0><1|, so sigma^0 = X
+and sigma^{-pi/2} = Y.  The sign of phi is a field phase relabeling; this
+orientation is fixed so the phi = -pi/2 axis is the standard Pauli Y.
 
 The ideal route (:func:`compose_ideal`) never builds a full-space operator:
 each op acts on its own factors only (its one or two qubits and its mode) of
@@ -20,9 +23,7 @@ b e^{i phi_m} + b^dag e^{-i phi_m} = D_m (b + b^dag) D_m^dag with
 D_m = diag(e^{-i phi_m n}), so every op is D U0 D^dag with a zero-phase U0
 (2x2, 4x4, 2d x 2d or d x d) that depends only on (kind, angle, cutoff).
 The noisy route (:mod:`ionvib.emulator`) builds its local Liouvillians from
-the same zero-phase generators.  :func:`pulse_generator` still gives the
-full-space sparse generator, the reference the tests check both routes
-against.
+the same zero-phase generators.
 
 Qubit encodings.  A two-state model uses one qubit with the simulated basis
 rotated so that the population-difference operator lies in the equatorial
@@ -539,9 +540,6 @@ class PulseSchedule:
         limit = self.steps if upto_step is None else upto_step
         return times[min(max(limit, 0), len(times) - 1)]
 
-    def count(self, kind: str) -> int:
-        return sum(1 for p in self.pulses if p.kind == kind)
-
     def serialize(self) -> str:
         buf = io.StringIO()
         buf.write("# ionvib pulse schedule v1\n")
@@ -597,23 +595,6 @@ def build_schedule(
 
 
 # --- ideal composition (noise-free verification route) --------------------------
-
-
-def pulse_generator(pulse: NativePulse, layout):
-    """Unit-angle generator of a pulse as a sparse operator on ``layout``."""
-    if pulse.kind == "carrier":
-        return 0.5 * hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0])
-    if pulse.kind == "sdf":
-        s = hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0])
-        q = hb.quadrature_phase(layout, pulse.mode, pulse.phi_m)
-        return s @ q
-    if pulse.kind == "ms":
-        s1 = hb.sigma_phi(layout, pulse.qubits[0], pulse.phis[0])
-        s2 = hb.sigma_phi(layout, pulse.qubits[1], pulse.phis[1])
-        return s1 @ s2
-    if pulse.kind == "disp":
-        return hb.quadrature_phase(layout, pulse.mode, pulse.phi_m)
-    raise InvalidModelError(f"unknown pulse kind {pulse.kind!r}")
 
 
 def base_generator(kind: str, cutoff: int) -> np.ndarray:
@@ -725,10 +706,13 @@ def walk_schedule(schedule: PulseSchedule, layout, state, grid_steps, apply_op):
     Before reading at grid step g, every op of the Trotter steps below g is
     applied as ``state = apply_op(state, op)``.  ``state`` is a vector or a
     density matrix.  Returns the population trace on the times step * tau/S,
-    with top-level leakage.
+    with top-level leakage.  Grid steps must be non-decreasing and within
+    0 .. steps, else :class:`~ionvib.errors.InvalidModelError` is raised.
     """
-    dt_fs = schedule.tau_fs / schedule.steps
     grid_steps = list(grid_steps)
+    if grid_steps != sorted(grid_steps) or not all(0 <= g <= schedule.steps for g in grid_steps):
+        raise InvalidModelError(f"grid steps must be non-decreasing and within 0 .. {schedule.steps}")
+    dt_fs = schedule.tau_fs / schedule.steps
     pops = np.zeros((len(grid_steps), schedule.mapping.state_count))
     leak = np.zeros(len(grid_steps))
     op_iter = iter(schedule.ops)

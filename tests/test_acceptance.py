@@ -7,12 +7,14 @@ cutoffs chosen for runtime; the asserted properties are insensitive to those
 choices (common-mode between the compared runs).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import record
+from test_emulator import noisier
 from ionvib import config as cfg
 from ionvib import exact, model, pulses
 from ionvib.cli import execute_run, main
@@ -219,10 +221,11 @@ def test_criterion_07_noise_damage_monotonicity():
     gsteps = grid_steps(48, 6)
     ideal = compose_ideal(sch, (10, 8), gsteps)
     monotone_ok = True
-    for field in ("motional_dephasing_scale", "heating_scale", "laser_dephasing_scale"):
+    for channel in ("motional", "heating", "laser"):
         devs = []
         for scale in (0.5, 1.0, 2.0):
-            noisy = emulate(sch, NoiseChannels(**{field: scale}), (10, 8), gsteps, check=False)
+            scaled = dataclasses.replace(sch, hardware=noisier(sch.hardware, **{channel: scale}))
+            noisy = emulate(scaled, NoiseChannels(), (10, 8), gsteps, check=False)
             devs.append(
                 float(TRAPZ(np.abs(noisy.populations[:, 0] - ideal.populations[:, 0]), ideal.times_fs))
             )

@@ -302,6 +302,7 @@ def test_compare_non_numeric_cell_errors(tmp_path, capsys):
 
 EHRENFEST_RUN = ["run", "--config", "{ini}", "--backend", "ehrenfest", "--trajectories", "2", "--grid-points", "4"]
 EXACT_RUN = ["run", "--config", "{ini}", "--backend", "exact", "--grid-points", "4"]
+TOY_EXACT_RUN = ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "4"]
 NOISY_HW_RUN = ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "4", "--cutoffs", "4,4"]
 NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
 
@@ -437,6 +438,13 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         (None, ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "4", "--tau-fs", "inf"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--tau-fs", "inf"], "tau_fs"),
         ("[model]\npreset = toy\n[ehrenfest]\nnbar = 2.0\n", [*EHRENFEST_RUN], "sampling"),
+        (None, [*TOY_EXACT_RUN, "--lambda-over-delta", "nan"], "lambda_over_delta"),
+        (None, [*TOY_EXACT_RUN, "--lambda-over-delta", "inf"], "lambda_over_delta"),
+        (None, [*TOY_EXACT_RUN, "--lambda-over-delta", "-1"], "lambda_over_delta"),
+        (None, [*TOY_EXACT_RUN, "--modes", "0"], "modes"),
+        (None, ["estimate", "--lambdas", "nan,1", "--modes-list", "2"], "lambdas"),
+        (None, ["estimate", "--lambdas", "1", "--modes-list", "0"], "modes_list"),
+        (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-lambdas", "nan"], "lambda_over_delta"),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
@@ -452,7 +460,8 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         "hardware-motional-coherence-neg", "hardware-heating-nan", "hardware-sideband-rabi-inf",
         "hardware-carrier-rabi-0", "hardware-cooling-neg", "hardware-slope-neg", "hardware-floor-neg",
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
-        "ehrenfest-ground-nbar",
+        "ehrenfest-ground-nbar", "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
+        "estimate-lambda-nan", "estimate-modes-0", "sweep-lambda-nan",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):

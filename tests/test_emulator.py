@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from ionvib import emulator, hilbert as hb, model, pulses
+from ionvib import config, emulator, hilbert as hb, model, pulses
 from ionvib.emulator import (
     MeasurementPolicy,
     NoiseChannels,
@@ -18,10 +19,21 @@ from ionvib.emulator import (
     sample_populations,
     shot_noise_sigma,
 )
-from ionvib.errors import NumericalFailureError
+from ionvib.errors import InvalidModelError, NumericalFailureError
 from ionvib.pulses import HardwareParams, NativePulse, build_schedule, compose_ideal
 from ionvib.trace import PopulationTrace
 from ionvib.units import ev_to_rad_per_fs
+from test_pulses import _kernel_schedules, full_space_collapse_ops, full_space_generator
+
+
+def noisier(hw, motional=1.0, heating=1.0, laser=1.0):
+    """``hw`` with each noise rate multiplied by the given factor."""
+    return dataclasses.replace(
+        hw,
+        motional_coherence_ms=hw.motional_coherence_ms / motional,
+        heating_rate_quanta_per_s=hw.heating_rate_quanta_per_s * heating,
+        laser_coherence_ms=hw.laser_coherence_ms / laser,
+    )
 
 
 def idle_pulse(duration_us):
@@ -44,6 +56,10 @@ class TestRates:
 
     def test_all_off(self):
         assert channel_rates_per_us(NoiseChannels.all_off(), HardwareParams()) == {}
+
+    def test_every_channel_is_an_ion_config_key(self):
+        # a noise option no run config can set would be dead code
+        assert {f.name for f in dataclasses.fields(NoiseChannels)} <= set(config.ION_DEFAULTS)
 
 
 class TestLindbladStep:
@@ -183,8 +199,8 @@ class TestScheduleEmulation:
         trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
         devs = []
         for scale in (0.5, 1.0, 2.0):
-            ch = NoiseChannels(motional_dephasing_scale=scale, heating_scale=scale, laser_dephasing_scale=scale)
-            noisy = emulate(sch, ch, (8, 8), grid, check=False)
+            scaled = dataclasses.replace(sch, hardware=noisier(sch.hardware, scale, scale, scale))
+            noisy = emulate(scaled, NoiseChannels(), (8, 8), grid, check=False)
             diff = np.abs(noisy.populations[:, 0] - ideal.populations[:, 0])
             devs.append(trapezoid(diff, ideal.times_fs))
         assert devs[0] < devs[1] < devs[2]
@@ -248,22 +264,6 @@ def test_measure_with_shot_noise_from_density_series():
     assert np.max(np.abs(trace.sampled - trace.populations)) < 0.15
 
 
-def test_symmetric_heating_linear_from_vacuum(mode_layout):
-    # with matched upward and downward rates the vacuum growth rate is exactly
-    # Gamma: d<n>/dt = Gamma(<n>+1) - Gamma<n>
-    ch = NoiseChannels(
-        motional_dephasing=False, heating=True, laser_dephasing=False, symmetric_heating=True
-    )
-    hw = HardwareParams()
-    t_us = 0.04 / (hw.heating_rate_quanta_per_s / 1e6)
-    rho = np.zeros((mode_layout.dim, mode_layout.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    out = lindblad_step(rho, idle_pulse(t_us), ch, hw, mode_layout)
-    st = hb.QuantumState(mode_layout, out, "density", validate=False)
-    n = hb.expectation(st, hb.number_operator(mode_layout, 0)).real
-    assert n == pytest.approx(0.04, rel=1e-3)
-
-
 def test_virtual_op_density_matches_full_space_exponential():
     # one-hot three-state model: its conjugated sdf halves carry virtual carrier and ms ops
     delta = np.zeros((3, 3), complex)
@@ -281,7 +281,7 @@ def test_virtual_op_density_matches_full_space_exponential():
     virtual = [op for op in sch.ops if op.virtual]
     assert {op.kind for op in virtual} == {"carrier", "ms"}
     for op in virtual:
-        gen = -1j * op.angle * pulses.pulse_generator(op, layout)
+        gen = -1j * op.angle * full_space_generator(op, layout)
         ref = expm_multiply(gen, expm_multiply(gen, rho).conj().T).conj().T
         out = lindblad_step(rho, op, NoiseChannels(), HardwareParams(), layout)
         assert np.abs(out - ref).max() <= 1e-12
@@ -293,13 +293,11 @@ def test_lindblad_route_against_direct_integration():
     # are scaled up so the dissipators dominate the comparison
     from scipy.integrate import solve_ivp
 
-    from ionvib.emulator import channel_rates_per_us
-
     spec = model.build_toy_model(2, 3.0)
     sch = build_schedule(spec, 400.0, 8)
     layout = hb.SpaceLayout(1, (5, 5))
-    hw = HardwareParams()
-    ch = NoiseChannels(motional_dephasing_scale=50.0, heating_scale=200.0, laser_dephasing_scale=50.0)
+    hw = noisier(HardwareParams(), motional=50.0, heating=200.0, laser=50.0)
+    ch = NoiseChannels()
     rates = channel_rates_per_us(ch, hw)
 
     psi = pulses.hardware_initial_vector(sch, layout)
@@ -307,14 +305,8 @@ def test_lindblad_route_against_direct_integration():
     rho_ref = rho_fast.copy()
     for p in sch.ops[:4]:
         rho_fast = lindblad_step(rho_fast, p, ch, hw, layout, check=True)
-        h = (p.angle / p.duration_us) * pulses.pulse_generator(p, layout).toarray()
-        l_ops = []
-        for k in range(2):
-            n_op = hb.number_operator(layout, k).toarray()
-            l_ops.append(np.sqrt(2 * rates["motional_dephasing"]) * n_op)
-            l_ops.append(np.sqrt(rates["heating"]) * hb.annihilation(layout, k).toarray().conj().T)
-        for q in p.qubits:
-            l_ops.append(np.sqrt(rates["laser_dephasing"] / 2) * hb.pauli(layout, q, "Z").toarray())
+        h = (p.angle / p.duration_us) * full_space_generator(p, layout).toarray()
+        l_ops = full_space_collapse_ops(layout, p.qubits, rates)
 
         def rhs(t, y):
             r = y.reshape(layout.dim, layout.dim)
@@ -355,21 +347,20 @@ def test_noise_pushes_strong_coupling_toward_mean_field():
 
 # --- factored Lindblad step against the full-space Liouvillian -------------------
 
-#: rates scaled up so every dissipator moves rho well above the tolerance
 FACTORED_CHANNELS = {
-    "motional_dephasing": NoiseChannels(True, False, False, motional_dephasing_scale=1e3),
-    "heating": NoiseChannels(False, True, False, heating_scale=1e4),
-    "laser_dephasing": NoiseChannels(False, False, True, laser_dephasing_scale=1e4),
-    "all": NoiseChannels(motional_dephasing_scale=1e3, heating_scale=1e4, laser_dephasing_scale=1e4),
-    "symmetric_heating": NoiseChannels(
-        motional_dephasing_scale=1e3, heating_scale=1e4, laser_dephasing_scale=1e4, symmetric_heating=True
-    ),
+    "motional_dephasing": NoiseChannels(True, False, False),
+    "heating": NoiseChannels(False, True, False),
+    "laser_dephasing": NoiseChannels(False, False, True),
+    "all": NoiseChannels(),
 }
 
 
-def _factored_schedules():
-    from test_pulses import _kernel_schedules
+def factored_hardware(hw):
+    """``hw`` with rates scaled up so every dissipator moves rho well above the tolerance."""
+    return noisier(hw, motional=1e3, heating=1e4, laser=1e4)
 
+
+def _factored_schedules():
     small = {"ci": (3, 2), "vaet": (2, 2, 2), "onehot": (2,), "onehot-physical": (2,), "plet": ()}
     cases = {name: (sch, small[name]) for name, (sch, _) in _kernel_schedules().items()}
     cases["toy"] = (build_schedule(model.build_toy_model(2, 3.0), 400.0, 3), (3, 3))
@@ -378,20 +369,8 @@ def _factored_schedules():
 
 def _full_space_liouvillian(op, channels, hw, layout):
     """Dense row-major vec Liouvillian of one pulse, from full-space operators."""
-    rates = channel_rates_per_us(channels, hw)
-    h = (op.angle / op.duration_us) * pulses.pulse_generator(op, layout).toarray()
-    l_ops = []
-    for k in range(layout.mode_count):
-        a = hb.annihilation(layout, k).toarray()
-        if "motional_dephasing" in rates:
-            l_ops.append(math.sqrt(2 * rates["motional_dephasing"]) * hb.number_operator(layout, k).toarray())
-        if "heating" in rates:
-            l_ops.append(math.sqrt(rates["heating"]) * a.conj().T)
-            if channels.symmetric_heating:
-                l_ops.append(math.sqrt(rates["heating"]) * a)
-    if "laser_dephasing" in rates:
-        for q in op.qubits:
-            l_ops.append(math.sqrt(rates["laser_dephasing"] / 2) * hb.pauli(layout, q, "Z").toarray())
+    h = (op.angle / op.duration_us) * full_space_generator(op, layout).toarray()
+    l_ops = full_space_collapse_ops(layout, op.qubits, channel_rates_per_us(channels, hw))
     ident = np.eye(layout.dim)
     lio = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
     for l_op in l_ops:
@@ -405,7 +384,7 @@ def _full_space_liouvillian(op, channels, hw, layout):
 def test_factored_lindblad_matches_full_space(name, channel):
     sch, cutoffs = _factored_schedules()[name]
     channels = FACTORED_CHANNELS[channel]
-    hw = sch.hardware
+    hw = factored_hardware(sch.hardware)
     layout = hb.SpaceLayout(sch.qubit_count, cutoffs)
     rng = np.random.default_rng(7)
     cache = {}
@@ -425,12 +404,13 @@ def test_sparse_fallback_matches_dense_path(monkeypatch):
     sch = build_schedule(model.build_toy_model(2, 3.0), 400.0, 3)
     layout = hb.SpaceLayout(1, (4, 3))
     channels = FACTORED_CHANNELS["all"]
+    hw = factored_hardware(sch.hardware)
     psi = pulses.hardware_initial_vector(sch, layout)
 
     def run(cache):
         rho = np.outer(psi, psi.conj())
         for op in sch.ops:
-            rho = lindblad_step(rho, op, channels, sch.hardware, layout, cache)
+            rho = lindblad_step(rho, op, channels, hw, layout, cache)
         return rho
 
     dense_cache, sparse_cache = {}, {}
@@ -440,3 +420,14 @@ def test_sparse_fallback_matches_dense_path(monkeypatch):
     assert not any(sp.issparse(v) for v in dense_cache.values())
     assert all(sp.issparse(v) for v in sparse_cache.values())
     assert np.abs(sparse - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [[0, 8, 4], [0, 50], [-3, 0]], ids=["decreasing", "past-end", "negative"])
+def test_bad_grid_steps_rejected(grid):
+    sch = build_schedule(model.build_toy_model(2, 1.0), 400.0, 12)
+    with pytest.raises(InvalidModelError, match="grid steps"):
+        compose_ideal(sch, (6, 6), grid)
+    with pytest.raises(InvalidModelError, match="grid steps"):
+        emulate(sch, NoiseChannels(), (6, 6), grid)
+    # repeated steps and the last boundary are valid grid points
+    assert compose_ideal(sch, (6, 6), [0, 6, 6, 12]).times_fs[-1] == 400.0

@@ -50,13 +50,6 @@ def test_pauli_algebra(layout):
     assert np.allclose(x @ z + z @ x, 0.0)
 
 
-def test_sigma_phi_axes(layout):
-    x = hb.pauli(layout, 0, "X").toarray()
-    y = hb.pauli(layout, 0, "Y").toarray()
-    assert np.allclose(hb.sigma_phi(layout, 0, 0.0).toarray(), x)
-    assert np.allclose(hb.sigma_phi(layout, 0, -math.pi / 2).toarray(), y)
-
-
 def test_index_bounds(layout):
     with pytest.raises(InvalidModelError):
         hb.annihilation(layout, 2)
@@ -119,7 +112,8 @@ def test_expectation_hermitian_real(layout):
     vec = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     vec /= np.linalg.norm(vec)
     st = hb.QuantumState(layout, vec)
-    h = hb.quadrature_phase(layout, 1, 0.7)
+    b = hb.annihilation(layout, 1) * np.exp(0.7j)
+    h = b + b.getH()
     assert abs(hb.expectation(st, h).imag) < 1e-12
 
 
