@@ -163,18 +163,15 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         # the same populations and leakage, and both values run the same solver
         if ex["frame"] not in ("lab", "interaction"):
             raise ConfigError(f"unknown frame {ex['frame']!r}", key="frame")
-        try:
-            req = exact.PropagationRequest(
-                spec=spec,
-                times_fs=exact.default_time_grid(tau_fs, points),
-                initial_state=initial,
-                nbar=cfg.parse_value(ex, "nbar"),
-                cutoffs=_parse_cutoffs(ex),
-                eps_cut=cfg.parse_value(ex, "eps_cut"),
-                eps_int=cfg.parse_value(ex, "eps_int"),
-            )
-        except InvalidModelError as exc:
-            raise ConfigError(str(exc), key=exc.key) from None
+        req = exact.PropagationRequest(
+            spec=spec,
+            times_fs=exact.default_time_grid(tau_fs, points),
+            initial_state=initial,
+            nbar=cfg.parse_value(ex, "nbar"),
+            cutoffs=_parse_cutoffs(ex),
+            eps_cut=cfg.parse_value(ex, "eps_cut"),
+            eps_int=cfg.parse_value(ex, "eps_int"),
+        )
         result = exact.propagate(req)
         result.to_csv(output)
         run_cfg.sections["exact"]["cutoffs"] = " ".join(str(c) for c in result.metadata["cutoffs"])
@@ -191,17 +188,13 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     if backend == "ehrenfest":
         eh = run_cfg.section("ehrenfest")
-        try:
-            conf = ehr.EnsembleConfig(
-                trajectories=_at_least(eh, "trajectories", 1),
-                sampling=eh["sampling"],
-                nbar=cfg.parse_value(eh, "nbar"),
-                seed=seed,
-                initial_state=initial,
-                tol=cfg.parse_value(eh, "tol"),
-            )
-        except InvalidModelError as exc:
-            raise ConfigError(str(exc), key=exc.key) from None
+        conf = ehr.EnsembleConfig(
+            trajectories=_at_least(eh, "trajectories", 1),
+            nbar=cfg.parse_value(eh, "nbar"),
+            seed=seed,
+            initial_state=initial,
+            tol=cfg.parse_value(eh, "tol"),
+        )
         result = ehr.ensemble_average(spec, conf, exact.default_time_grid(tau_fs, points))
         result.to_csv(output)
         diagnostics["integrator"] = result.metadata["integrator"]
@@ -220,7 +213,6 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         )
         runs = _at_least(ion, "runs_per_point", 0)  # 0: no shot sampling
         policy = emulator.MeasurementPolicy(runs_per_point=runs, seed=seed) if runs > 0 else None
-        check = cfg.parse_bool(ion, "check")
     schedule = pulses.build_schedule(
         spec,
         tau_fs,
@@ -248,7 +240,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     if backend == "ion-ideal":
         result = pulses.compose_ideal(schedule, cutoffs, grid_steps)
     else:
-        result = emulator.emulate(schedule, channels, cutoffs, grid_steps, policy=policy, check=check)
+        result = emulator.emulate(schedule, channels, cutoffs, grid_steps, policy=policy)
     result.to_csv(output)
     diagnostics["operation_time_us"] = schedule.operation_time_us()
     return diagnostics
@@ -299,8 +291,6 @@ def _sections_from_flags(args) -> dict:
     if args.nbar is not None:
         sections.setdefault("exact", {})["nbar"] = repr(args.nbar)
         sections.setdefault("ehrenfest", {})["nbar"] = repr(args.nbar)
-        if args.nbar > 0:
-            sections.setdefault("ehrenfest", {})["sampling"] = "wigner_thermal"
     if args.lambdas is not None:
         sections.setdefault("estimate", {})["lambdas"] = args.lambdas.replace(",", " ")
     if args.modes_list is not None:
@@ -359,6 +349,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvalidModelError as exc:
+        # a model error that names its config key is a bad config value
+        print(f"error: {exc}" + ("" if exc.key is None else f" (key: {exc.key})"), file=sys.stderr)
+        return 1 if exc.key is None else 2
     except ConvergenceError as exc:
         gap = ""
         if exc.last is not None and exc.previous is not None:
@@ -409,20 +403,24 @@ def _dispatch(args) -> int:
         lambdas = cfg.parse_value(vars(args), "sweep_lambdas", cfg.floats)
         modes = cfg.parse_value(vars(args), "sweep_modes", cfg.ints)
         base_sections = _sections_from_flags(args)
-        os.makedirs(args.output_dir, exist_ok=True)
+        points = []
         for n in modes:
             for lam in lambdas:
                 sections = {k: dict(v) for k, v in base_sections.items()}
                 sections.setdefault("model", {}).update(
                     {"preset": "toy", "modes": str(n), "lambda_over_delta": repr(lam)}
                 )
-                name = f"trace_lam{lam:g}_N{n}.csv"
-                path = os.path.join(args.output_dir, name)
+                path = os.path.join(args.output_dir, f"trace_lam{lam:g}_N{n}.csv")
                 sections.setdefault("run", {})["output"] = path
                 run_cfg = cfg.resolve_run_config(sections)
-                diagnostics = execute_run(run_cfg)
-                cfg.write_sidecar(run_cfg, path + ".meta.ini", diagnostics)
-                print(f"wrote {path}")
+                run_cfg.spec()  # every point's model is built, so a bad value fails before any run
+                points.append(run_cfg)
+        os.makedirs(args.output_dir, exist_ok=True)
+        for run_cfg in points:
+            path = run_cfg.section("run")["output"]
+            diagnostics = execute_run(run_cfg)
+            cfg.write_sidecar(run_cfg, path + ".meta.ini", diagnostics)
+            print(f"wrote {path}")
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, InvalidModelError
+from .errors import ConfigError
 from .model import (
     DriveSpec,
     Envelope,
@@ -123,10 +123,6 @@ def spec_from_sections(sections) -> LvcmSpec:
         return _spec_from_model(model, sections)
     except KeyError as exc:
         raise ConfigError("model config is missing a required setting", key=exc.args[0]) from None
-    except InvalidModelError as exc:
-        if exc.key is None:
-            raise
-        raise ConfigError(str(exc), key=exc.key) from None
 
 
 def _envelope(section: dict) -> Envelope:
@@ -244,7 +240,6 @@ def hardware_to_sections(hw: HardwareParams) -> dict:
     cal = hw.duration_calibration
     return {
         "hardware": {
-            "mode_frequency_bands_mhz": " ".join(f"{lo!r}:{hi!r}" for lo, hi in hw.mode_frequency_bands_mhz),
             "sideband_rabi_khz": f"{hw.sideband_rabi_khz[0]!r} {hw.sideband_rabi_khz[1]!r}",
             "carrier_rabi_khz": repr(hw.carrier_rabi_khz),
             "motional_coherence_ms": repr(hw.motional_coherence_ms),
@@ -265,7 +260,6 @@ def hardware_from_sections(sections) -> HardwareParams:
     if not h:
         return defaults
 
-    pairs = _pairs(float, ":")
     per_chain = _pairs(float, ":", first=int)  # n:value, n an integer chain size
     cal = dict(defaults.duration_calibration)
     if "duration_slope_us_per_rad" in h or "duration_floor_us" in h:
@@ -278,9 +272,6 @@ def hardware_from_sections(sections) -> HardwareParams:
         cal = {n: (slopes[n], floors.get(n, 0.0)) for n in slopes}
     rabi = _sized(h, "sideband_rabi_khz", floats, 2) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
     hw = HardwareParams(
-        mode_frequency_bands_mhz=parse_value(h, "mode_frequency_bands_mhz", pairs)
-        if "mode_frequency_bands_mhz" in h
-        else defaults.mode_frequency_bands_mhz,
         sideband_rabi_khz=(rabi[0], rabi[1]),
         carrier_rabi_khz=parse_value(h, "carrier_rabi_khz", float, defaults.carrier_rabi_khz),
         motional_coherence_ms=parse_value(h, "motional_coherence_ms", float, defaults.motional_coherence_ms),
@@ -333,7 +324,7 @@ RUN_DEFAULTS = {
 }
 
 EXACT_DEFAULTS = {"eps_int": "1e-08", "eps_cut": "0.0001", "frame": "lab", "nbar": "0.0", "cutoffs": ""}
-EHRENFEST_DEFAULTS = {"trajectories": "100", "sampling": "wigner_ground", "nbar": "0.0", "tol": "1e-10"}
+EHRENFEST_DEFAULTS = {"trajectories": "100", "nbar": "0.0", "tol": "1e-10"}
 ION_DEFAULTS = {
     "trotter_steps": "600",
     "cutoffs": "",
@@ -342,7 +333,6 @@ ION_DEFAULTS = {
     "laser_dephasing": "true",
     "runs_per_point": "0",
     "physical_rotations": "false",
-    "check": "true",
 }
 ESTIMATE_DEFAULTS = {
     "lambdas": "1 5 10 20 30",

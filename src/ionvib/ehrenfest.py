@@ -8,8 +8,9 @@ a_k + a_k^dag <-> sqrt(2) q_k.  Equations of motion (all rates in rad/fs):
     dq_k/dt   = nu_k p_k
     dp_k/dt   = -nu_k q_k - sqrt(2) sum_ij Re(c_i^* kappa_ijk c_j)
 
-Initial (q, p) are Wigner samples of the ground or thermal oscillator state:
-independent Gaussians with variance nbar + 1/2 per coordinate.
+Initial (q, p) are Wigner samples of the thermal oscillator state with
+occupation nbar, the ground state at nbar = 0: independent Gaussians with
+variance nbar + 1/2 per coordinate.  This one scheme covers every nbar.
 
 Randomness comes from numpy's PCG64 generator; the stream for trajectory r is
 seeded with SeedSequence([seed, r]), so ensembles are reproducible across
@@ -64,10 +65,9 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Trajectory count, initial sampling scheme, and the master seed."""
+    """Trajectory count, initial thermal occupation, and the master seed."""
 
     trajectories: int = 100
-    sampling: str = "wigner_ground"
     nbar: float = 0.0
     seed: int = 0
     initial_state: int = 0
@@ -76,14 +76,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.trajectories < 1:
             raise InvalidModelError("need at least one trajectory", key="trajectories")
-        if self.sampling not in ("wigner_ground", "wigner_thermal"):
-            raise InvalidModelError(f"unknown sampling scheme {self.sampling!r}", key="sampling")
         if not (np.isfinite(self.nbar) and self.nbar >= 0):
             raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
-        if self.sampling == "wigner_ground" and self.nbar > 0:
-            raise InvalidModelError(
-                f"wigner_ground samples nbar = 0; use wigner_thermal for nbar = {self.nbar}", key="sampling"
-            )
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise InvalidModelError(f"tol must be finite and > 0, got {self.tol}", key="tol")
         if self.initial_state < 0:
@@ -189,7 +183,6 @@ def ensemble_average(spec: LvcmSpec, config: EnsembleConfig, times_fs) -> Popula
         metadata={
             "method": "ehrenfest",
             "trajectories": config.trajectories,
-            "sampling": config.sampling,
             "nbar": config.nbar,
             "seed": config.seed,
             "rng": "numpy PCG64, SeedSequence([seed, trajectory])",

@@ -45,10 +45,10 @@ together fit :data:`DENSE_BYTES`; larger local spaces apply ``expm_multiply``
 to the sparse zero-phase generator instead.  The idle-mode channels are
 cached the same way by (cutoff, duration).
 
-Trace and positivity are checked after every pulse: the trace stays within
-1e-6 of 1, and the Hermitian part of rho plus 1e-6 I has a Cholesky factor,
-which it has exactly when the Hermitian part's smallest eigenvalue exceeds
--1e-6.
+Trace and positivity are checked after every pulse with a duration, in
+every run: the trace stays within 1e-6 of 1, and the Hermitian part of rho
+plus 1e-6 I has a Cholesky factor, which it has exactly when the Hermitian
+part's smallest eigenvalue exceeds -1e-6.
 Before allocating anything, :func:`emulate` checks that rho and its working
 copies fit :data:`RHO_BYTES_LIMIT`.
 """
@@ -217,16 +217,17 @@ def lindblad_step(
     hardware: HardwareParams,
     layout,
     cache: dict | None = None,
-    check: bool = True,
 ) -> np.ndarray:
     """Propagate a density matrix through one pulse (or virtual op).
 
     Zero-duration ops apply their unitary on their own tensor factors
     (:func:`~ionvib.pulses.apply_pulse`).  Pulses with a duration apply
     exp(t L_loc) on their own factors and the idle-mode channels on the other
-    modes, as in the module docstring.  ``cache`` holds the zero-phase
-    unitaries and propagators by key; it belongs to one :func:`emulate` call,
-    whose channels and hardware it assumes.
+    modes, as in the module docstring, then check the trace and positivity of
+    the result (:class:`~ionvib.errors.NumericalFailureError` on a violation).
+    ``cache`` holds the zero-phase unitaries and propagators by key; it
+    belongs to one :func:`emulate` call, whose channels and hardware it
+    assumes.
     """
     cache = {} if cache is None else cache
     if pulse.virtual or pulse.duration_us == 0.0:
@@ -252,8 +253,7 @@ def lindblad_step(
                 prop = cache[(dk, t_us)] = _propagator(idle, t_us)
             t = _apply_channel(t, prop, [layout.qubit_count + k])
     rho = t.reshape(rho.shape)
-    if check:
-        _check_state(rho, context=f"after {pulse.kind} pulse at step {pulse.step}")
+    _check_state(rho, context=f"after {pulse.kind} pulse at step {pulse.step}")
     return rho
 
 
@@ -263,7 +263,6 @@ def emulate(
     cutoffs,
     grid_steps,
     policy: MeasurementPolicy | None = None,
-    check: bool = True,
 ) -> PopulationTrace:
     """Propagate once through the schedule, reading populations at grid steps.
 
@@ -285,7 +284,7 @@ def emulate(
     cache = {}
 
     def step(rho, op):
-        return lindblad_step(rho, op, channels, schedule.hardware, layout, cache, check)
+        return lindblad_step(rho, op, channels, schedule.hardware, layout, cache)
 
     psi = hardware_initial_vector(schedule, layout)
     trace = walk_schedule(schedule, layout, np.outer(psi, psi.conj()), grid_steps, step)

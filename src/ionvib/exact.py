@@ -29,10 +29,10 @@ time-dependent one applies E(t) on the electronic factor of the state inside
 the integrator's right-hand side.  Each mode term is K_k (x) a_k, with a_k
 built by :mod:`ionvib.hilbert` on the mode-only layout.
 
-Thermal initial mode states are expanded into a weighted mixture of Fock
-product states (the thermal state is diagonal), each propagated as a pure
-state; this is exact and far cheaper than density propagation at the nbar
-values of interest (~0.06).
+Thermal initial mode states (one nbar shared by every mode) are expanded
+into a weighted mixture of Fock product states (the thermal state is
+diagonal), each propagated as a pure state; this is exact and far cheaper
+than density propagation at the nbar values of interest (~0.06).
 
 The truncation knob is per-mode Fock cutoffs.  ``converge_cutoffs`` grows them
 until (a) bumping any single cutoff by 2 moves no population value by more
@@ -93,8 +93,8 @@ class PropagationRequest:
 
     spec: LvcmSpec
     times_fs: np.ndarray
-    initial_state: int | np.ndarray = 0
-    nbar: float | tuple = 0.0
+    initial_state: int = 0
+    nbar: float = 0.0
     cutoffs: tuple | None = None
     eps_cut: float = 1e-4
     eps_int: float = 1e-8
@@ -109,7 +109,7 @@ class PropagationRequest:
             value = getattr(self, key)
             if not 0 < value < math.inf:
                 raise InvalidModelError(f"{key} must be finite and > 0, got {value}", key=key)
-        if not all(0 <= v < math.inf for v in np.ravel(self.nbar)):
+        if not 0 <= self.nbar < math.inf:
             raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
 
 
@@ -294,33 +294,20 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> _Assembled:
     return _Assembled(sp.csr_matrix(static, dtype=complex), electronic)
 
 
-def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, initial) -> np.ndarray:
+def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, index: int) -> np.ndarray:
+    if not 0 <= index < spec.state_count:
+        raise InvalidModelError(f"initial state must be 0 .. {spec.state_count - 1}, got {index}")
     vec = np.zeros(layout.electronic_dim, dtype=complex)
-    if np.ndim(initial) == 0:
-        index = int(initial)
-        if not 0 <= index < spec.state_count:
-            raise InvalidModelError(f"initial state must be 0 .. {spec.state_count - 1}, got {index}")
-        vec[index] = 1.0
-    else:
-        amps = np.asarray(initial, dtype=complex)
-        if amps.shape != (spec.state_count,):
-            raise InvalidModelError("initial amplitude vector length does not match the model")
-        vec[: spec.state_count] = amps / np.linalg.norm(amps)
+    vec[index] = 1.0
     return vec
 
 
-def _thermal_mixture(spec: LvcmSpec, layout: SpaceLayout, nbar):
+def _thermal_mixture(layout: SpaceLayout, nbar: float):
     """Fock product states and weights representing the thermal initial condition.
 
-    ``nbar`` may be a single occupation shared by all modes or one per mode.
+    Every mode starts at the same occupation ``nbar``.
     """
-    if np.ndim(nbar) == 0:
-        nbars = [float(nbar)] * layout.mode_count
-    else:
-        nbars = [float(v) for v in nbar]
-        if len(nbars) != layout.mode_count:
-            raise InvalidModelError("need one nbar per mode")
-    per_mode = [hilbert.thermal_weights(d, nb) for d, nb in zip(layout.mode_cutoffs, nbars)]
+    per_mode = [hilbert.thermal_weights(d, nbar) for d in layout.mode_cutoffs]
     combos = []
     for levels in itertools.product(*[range(len(w)) for w in per_mode]):
         w = math.prod(per_mode[k][n] for k, n in enumerate(levels))
@@ -376,7 +363,7 @@ def _run(request: PropagationRequest, cutoffs):
     times = request.times_fs
     pops = np.zeros((len(times), m))
     top = np.zeros((len(times), layout.mode_count))
-    for levels, weight in _thermal_mixture(spec, layout, request.nbar):
+    for levels, weight in _thermal_mixture(layout, request.nbar):
         psi0 = hilbert.product_state(layout, elec, levels)
         for idx, psi in enumerate(_propagate_pure(parts, psi0, times, request.eps_int)):
             pops[idx] += weight * _populations_from_vector(psi, layout, m)

@@ -101,7 +101,6 @@ def default_duration_calibration() -> dict:
 class HardwareParams:
     """Trapped-ion system, noise, and overhead parameters (Table-style fields)."""
 
-    mode_frequency_bands_mhz: tuple = ((1.80, 1.98), (2.45, 2.58))
     sideband_rabi_khz: tuple = (1.47, 4.95)
     carrier_rabi_khz: float = 50.0
     motional_coherence_ms: float = 36.0
@@ -123,20 +122,6 @@ class HardwareParams:
                 f"no duration calibration for a {n_ions}-ion chain "
                 f"(table covers {sorted(self.duration_calibration)})"
             ) from None
-
-    def non_cm_mode_frequencies_mhz(self, n_ions: int) -> list:
-        """Non-CM radial mode frequencies, both directions, descending order.
-
-        Each radial direction contributes n_ions modes; the highest-frequency
-        one is the CM mode and is excluded.  The rest are spread evenly over
-        the band interior.
-        """
-        freqs = []
-        for lo, hi in self.mode_frequency_bands_mhz:
-            span = hi - lo
-            for m in range(1, n_ions):
-                freqs.append(hi - span * m / n_ions)
-        return sorted(freqs, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,10 @@ def test_criterion_04_lindblad_correctness():
         heating_ok &= abs(n - gamma_t) / gamma_t < 0.02
 
     # (c) trace and positivity on every pulse of a full noisy lambda = 30 Delta run
-    # (N = 1 keeps the converged Fock space small; check=True raises on violation)
+    # (N = 1 keeps the converged Fock space small; emulate raises on a violation)
     spec = model.build_toy_model(1, 30.0)
     sch = build_schedule(spec, 400.0, 600)
-    emulate(sch, NoiseChannels(), (58,), grid_steps(600, 10), check=True)
+    emulate(sch, NoiseChannels(), (58,), grid_steps(600, 10))
     invariants_ok = True
 
     ok = dephasing_ok and heating_ok and invariants_ok
@@ -202,7 +202,7 @@ def test_criterion_07_noise_damage_monotonicity():
         sch = build_schedule(spec, 400.0, steps)
         gsteps = grid_steps(steps, points)
         ideal = compose_ideal(sch, cutoffs, gsteps)
-        noisy = emulate(sch, channels, cutoffs, gsteps, check=False)
+        noisy = emulate(sch, channels, cutoffs, gsteps)
         return float(
             TRAPZ(np.abs(noisy.populations[:, 0] - ideal.populations[:, 0]), ideal.times_fs)
         )
@@ -225,7 +225,7 @@ def test_criterion_07_noise_damage_monotonicity():
         devs = []
         for scale in (0.5, 1.0, 2.0):
             scaled = dataclasses.replace(sch, hardware=noisier(sch.hardware, **{channel: scale}))
-            noisy = emulate(scaled, NoiseChannels(), (10, 8), gsteps, check=False)
+            noisy = emulate(scaled, NoiseChannels(), (10, 8), gsteps)
             devs.append(
                 float(TRAPZ(np.abs(noisy.populations[:, 0] - ideal.populations[:, 0]), ideal.times_fs))
             )

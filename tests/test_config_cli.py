@@ -78,13 +78,6 @@ class TestHardwareFiles:
         assert hw.laser_coherence_ms == 496.0
         assert hw.overhead_per_run_us() == pytest.approx(4250.0)
 
-    def test_mode_frequencies_descending_non_cm(self):
-        hw = HardwareParams()
-        freqs = hw.non_cm_mode_frequencies_mhz(3)
-        assert len(freqs) == 4  # 2 per radial direction for 3 ions
-        assert freqs == sorted(freqs, reverse=True)
-        assert max(freqs) < 2.58  # CM modes excluded
-
 
 class TestCli:
     def test_run_exact_and_row_count(self, tmp_path):
@@ -265,6 +258,13 @@ def test_sweep_writes_grid_outputs(tmp_path):
     ]
 
 
+def test_sweep_validates_every_point_before_the_first_run(tmp_path, capsys):
+    args = ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "4", "--sweep-lambdas", "1,nan"]
+    assert main([*args, "--output-dir", str(tmp_path / "grid")]) == 2
+    assert "(key: lambda_over_delta)" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 def test_compare_grid_mismatch_errors(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -385,7 +385,6 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         ("[model]\npreset = toy\n[ehrenfest]\nsampling = wigner_thermal\nnbar = -1\n", [*EHRENFEST_RUN], "nbar"),
         ("[model]\npreset = toy\n[ehrenfest]\nsampling = wigner_thermal\nnbar = nan\n", [*EHRENFEST_RUN], "nbar"),
         (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "2", "--nbar", "-1"], "nbar"),
-        ("[model]\npreset = toy\n[ehrenfest]\nsampling = wigner_hot\n", [*EHRENFEST_RUN], "sampling"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "1,4"], "cutoffs"),
         (
             None,
@@ -437,7 +436,6 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "2", "--tau-fs", "inf"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "4", "--tau-fs", "inf"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--tau-fs", "inf"], "tau_fs"),
-        ("[model]\npreset = toy\n[ehrenfest]\nnbar = 2.0\n", [*EHRENFEST_RUN], "sampling"),
         (None, [*TOY_EXACT_RUN, "--lambda-over-delta", "nan"], "lambda_over_delta"),
         (None, [*TOY_EXACT_RUN, "--lambda-over-delta", "inf"], "lambda_over_delta"),
         (None, [*TOY_EXACT_RUN, "--lambda-over-delta", "-1"], "lambda_over_delta"),
@@ -453,14 +451,14 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         "model-nu-count", "model-transition-one-state", "estimate-runs-0", "ion-runs-neg",
         "ion-steps-0", "ion-steps-neg", "compile-steps-0", "estimate-steps-neg", "estimate-steps-not-multiple",
         "tau-0", "tau-neg", "trajectories-0", "ehrenfest-tol-0", "ehrenfest-tol-nan", "ehrenfest-tol-neg",
-        "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg", "ehrenfest-sampling-unknown",
+        "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg",
         "exact-cutoff-1", "ion-cutoff-1", "exact-eps-cut-nan", "exact-eps-cut-inf", "exact-eps-cut-0",
         "exact-eps-cut-neg", "exact-eps-int-0", "exact-eps-int-nan", "exact-eps-int-neg", "exact-nbar-nan",
         "exact-nbar-neg", "exact-nbar-flag-neg", "exact-frame-unknown", "hardware-motional-coherence-0",
         "hardware-motional-coherence-neg", "hardware-heating-nan", "hardware-sideband-rabi-inf",
         "hardware-carrier-rabi-0", "hardware-cooling-neg", "hardware-slope-neg", "hardware-floor-neg",
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
-        "ehrenfest-ground-nbar", "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
+        "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
         "estimate-lambda-nan", "estimate-modes-0", "sweep-lambda-nan",
     ],
 )
@@ -513,7 +511,6 @@ def test_config_file_backend_section_survives_backend_flag(tmp_path):
         ("ion-noisy", "motional_dephasing"),
         ("ion-noisy", "heating"),
         ("ion-noisy", "laser_dephasing"),
-        ("ion-noisy", "check"),
     ],
 )
 def test_bad_boolean_exits_2_naming_key(tmp_path, capsys, backend, key):
@@ -649,3 +646,31 @@ def test_ehrenfest_sidecar_records_integrator(tmp_path):
     assert sidecar["meta"]["integrator"] == "DOP853, one batch of 4, rtol=atol=tol/sqrt(4)"
     assert int(sidecar["meta"]["rhs_evals"]) > 0
     assert "integrator" not in out.read_text()
+
+
+#: settings earlier versions read; a config that still carries them runs as without them
+REMOVED_KEYS = {
+    "ehrenfest": "sampling = wigner_thermal\n",
+    "ion": "check = false\n",
+    "hardware": "mode_frequency_bands_mhz = 1.8:1.98 2.45:2.58\n",
+}
+
+
+@pytest.mark.parametrize("backend", ["ehrenfest", "ion-noisy"])
+def test_removed_keys_are_carried_and_ignored(tmp_path, backend):
+    outs = {}
+    for name, removed in (("plain", {}), ("removed", REMOVED_KEYS)):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(
+            "[model]\npreset = toy\n[ehrenfest]\ntrajectories = 4\n" + removed.get("ehrenfest", "")
+            + "[ion]\ntrotter_steps = 4\ncutoffs = 4 4\nruns_per_point = 10\n" + removed.get("ion", "")
+            + "[hardware]\nheating_rate_quanta_per_s = 5.0\n" + removed.get("hardware", "")
+        )
+        outs[name] = tmp_path / f"{name}.csv"
+        args = ["run", "--config", str(ini), "--backend", backend, "--grid-points", "4"]
+        assert main([*args, "--output", str(outs[name])]) == 0
+    assert outs["removed"].read_bytes() == outs["plain"].read_bytes()
+    sidecar = cfg.load_run_sections(str(outs["removed"]) + ".meta.ini")
+    assert sidecar["hardware"]["mode_frequency_bands_mhz"] == "1.8:1.98 2.45:2.58"
+    section, key = ("ehrenfest", "sampling") if backend == "ehrenfest" else ("ion", "check")
+    assert key in sidecar[section]

@@ -35,7 +35,7 @@ class TestSampling:
 
     def test_thermal_variance(self):
         spec = model.build_toy_model(2, 1.0)
-        config = EnsembleConfig(trajectories=1, sampling="wigner_thermal", nbar=0.5, seed=1)
+        config = EnsembleConfig(trajectories=1, nbar=0.5, seed=1)
         rng = trajectory_rng(1, 0)
         qs = np.concatenate([sample_initial(config, spec, rng).q for _ in range(50_000)])
         assert qs.var() == pytest.approx(1.0, rel=0.03)
@@ -179,12 +179,11 @@ def test_intersection_model_runs_with_conserved_energy():
         ({"tol": float("nan")}, "tol"),
         ({"tol": -1e-3}, "tol"),
         ({"tol": float("inf")}, "tol"),
-        ({"sampling": "wigner_thermal", "nbar": -1.0}, "nbar"),
-        ({"sampling": "wigner_thermal", "nbar": float("nan")}, "nbar"),
+        ({"nbar": -1.0}, "nbar"),
+        ({"nbar": float("nan")}, "nbar"),
         ({"nbar": -1.0}, "nbar"),
         ({"initial_state": -1}, "initial_state"),
         ({"trajectories": 0}, "trajectories"),
-        ({"sampling": "uniform"}, "sampling"),
     ],
 )
 def test_ensemble_config_rejects(kwargs, key):

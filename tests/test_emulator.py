@@ -179,8 +179,8 @@ class TestScheduleEmulation:
         spec = model.build_toy_model(2, 5.0)
         sch = build_schedule(spec, 400.0, 32)
         grid = [8 * g for g in range(5)]
-        # check=True raises on any violation
-        tr = emulate(sch, NoiseChannels(), (10, 10), grid, check=True)
+        # emulate raises on any violation
+        tr = emulate(sch, NoiseChannels(), (10, 10), grid)
         assert np.all(tr.populations >= -1e-8)
         assert np.all(tr.populations.sum(axis=1) <= 1 + 1e-8)
 
@@ -188,7 +188,7 @@ class TestScheduleEmulation:
         spec = model.build_toy_model(2, 5.0)
         sch = build_schedule(spec, 400.0, 32)
         grid = [8 * g for g in range(5)]
-        tr = emulate(sch, NoiseChannels.all_off(), (6, 6), grid, check=False)
+        tr = emulate(sch, NoiseChannels.all_off(), (6, 6), grid)
         assert tr.metadata["lab_time_us"] == pytest.approx(sch.operation_time_us(grid[-1]), rel=1e-12)
 
     def test_noise_damage_monotone_in_rate(self):
@@ -200,7 +200,7 @@ class TestScheduleEmulation:
         devs = []
         for scale in (0.5, 1.0, 2.0):
             scaled = dataclasses.replace(sch, hardware=noisier(sch.hardware, scale, scale, scale))
-            noisy = emulate(scaled, NoiseChannels(), (8, 8), grid, check=False)
+            noisy = emulate(scaled, NoiseChannels(), (8, 8), grid)
             diff = np.abs(noisy.populations[:, 0] - ideal.populations[:, 0])
             devs.append(trapezoid(diff, ideal.times_fs))
         assert devs[0] < devs[1] < devs[2]
@@ -304,7 +304,7 @@ def test_lindblad_route_against_direct_integration():
     rho_fast = np.outer(psi, psi.conj())
     rho_ref = rho_fast.copy()
     for p in sch.ops[:4]:
-        rho_fast = lindblad_step(rho_fast, p, ch, hw, layout, check=True)
+        rho_fast = lindblad_step(rho_fast, p, ch, hw, layout)
         h = (p.angle / p.duration_us) * full_space_generator(p, layout).toarray()
         l_ops = full_space_collapse_ops(layout, p.qubits, rates)
 
@@ -338,7 +338,7 @@ def test_noise_pushes_strong_coupling_toward_mean_field():
     cutoffs = (42,)  # converged for this model at eps_cut = 1e-4
     sch = build_schedule(spec, 400.0, steps)
     ideal = compose_ideal(sch, cutoffs, gsteps)
-    noisy = emulate(sch, NoiseChannels(), cutoffs, gsteps, check=False)
+    noisy = emulate(sch, NoiseChannels(), cutoffs, gsteps)
     mf = ensemble_average(spec, EnsembleConfig(trajectories=150, seed=11), ideal.times_fs)
     d_noisy = trapezoid(np.abs(noisy.populations[:, 0] - mf.populations[:, 0]), ideal.times_fs)
     d_ideal = trapezoid(np.abs(ideal.populations[:, 0] - mf.populations[:, 0]), ideal.times_fs)

@@ -404,18 +404,6 @@ class TestTraceCsv:
         assert np.array_equal(back.leakage, result.leakage)
 
 
-def test_amplitude_vector_initial_state():
-    spec = model.build_toy_model(2, 1.0)
-    amps = np.array([0.6, 0.8j])
-    tr = exact.propagate(
-        exact.PropagationRequest(
-            spec=spec, times_fs=np.array([0.0, 5.0]), initial_state=amps, cutoffs=(4, 4)
-        )
-    )
-    assert tr.populations[0, 0] == pytest.approx(0.36, abs=1e-12)
-    assert tr.populations[0, 1] == pytest.approx(0.64, abs=1e-12)
-
-
 @pytest.mark.parametrize("initial", [-1, 2])
 def test_integer_initial_state_out_of_range(initial):
     vaet = model.build_vaet_model(0.0, 0.02, 0.03, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
@@ -424,15 +412,6 @@ def test_integer_initial_state_out_of_range(initial):
     )
     with pytest.raises(InvalidModelError, match="initial state"):
         exact.propagate(req)
-
-
-@pytest.mark.parametrize("nbar", [(0.1, -0.1), (math.nan, 0.1)], ids=["negative", "nan"])
-def test_request_rejects_bad_per_mode_nbar(nbar):
-    # the CLI passes one nbar; per-mode values reach the request only from code
-    spec = model.build_toy_model(2, 1.0)
-    with pytest.raises(InvalidModelError) as info:
-        exact.PropagationRequest(spec=spec, times_fs=np.array([0.0, 5.0]), nbar=nbar)
-    assert info.value.key == "nbar"
 
 
 def test_wall_time_recorded():
