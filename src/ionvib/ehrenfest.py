@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, InvalidModelError
 from .model import LvcmSpec
@@ -143,6 +142,8 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
         force = ((c.conj()[:, :, None] * c[:, None, :]).reshape(r, m * m) @ force_rows).real
         dc = (gen @ c[:, :, None])[:, :, 0]
         return np.concatenate([dc, nu * y[:, m + n :].real, neg_nu * q - force], axis=1).ravel()
+
+    from scipy.integrate import solve_ivp  # only Ehrenfest runs need it
 
     batch_tol = tol / np.sqrt(r)
     sol = solve_ivp(

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, get_lapack_funcs
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import InvalidModelError, NumericalFailureError
 from .hilbert import SpaceLayout, annihilation, number_operator, pauli
@@ -184,6 +183,8 @@ def _apply_channel(t: np.ndarray, prop, axes: list, w: np.ndarray | None = None)
     if w is not None:
         m = w.conj()[:, None] * m
     if sp.issparse(prop):
+        from scipy.sparse.linalg import expm_multiply  # only oversized local spaces need it
+
         out = expm_multiply(prop, m)
     else:
         out = np.empty_like(m)

@@ -51,8 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.chebyshev import chebmul
-from scipy.integrate import solve_ivp
-from scipy.special import jv
 
 from . import hilbert
 from .errors import ConvergenceError, DimensionLimitError, InvalidModelError
@@ -193,6 +191,8 @@ class _Chebyshev:
 
     def _coefficients(self, dt: float) -> np.ndarray:
         if dt not in self._series:
+            from scipy.special import jv  # only the Chebyshev series needs it
+
             z = self.half_width * dt
             # |J_k(z)| falls monotonically once k > z: search past z for the
             # first order under the cut, then keep up to the last one above it
@@ -331,6 +331,8 @@ def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_
     def rhs(t, y):
         e = parts.electronic(t)
         return -1j * (parts.static @ y + (e @ y.reshape(len(e), -1)).ravel())
+
+    from scipy.integrate import solve_ivp  # only a time-dependent drive needs it
 
     sol = solve_ivp(
         rhs,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
 from ionvib import ehrenfest, exact, model
@@ -254,7 +255,7 @@ def test_ensemble_is_one_solver_call(monkeypatch):
         calls.append(kwargs["rtol"])
         return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(ehrenfest, "solve_ivp", counted)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
     spec = model.build_toy_model(2, 1.0)
     tr = ensemble_average(spec, EnsembleConfig(trajectories=16, seed=1), np.linspace(0, 50, 4))
     assert calls == [1e-10 / 4]

@@ -175,6 +175,17 @@ class TestScheduleEmulation:
         assert np.max(np.abs(lind.populations - comp.populations)) <= 1e-12
         assert np.max(np.abs(lind.leakage - comp.leakage)) <= 1e-12
 
+    def test_channels_off_matches_ideal_composition_at_paper_point(self):
+        # toy N=2, lambda 5, S=600 at cutoffs (16,14): the local channels reach
+        # the dense-block sizes the smaller-cutoff tests above never build
+        spec = model.build_toy_model(2, 5.0)
+        sch = build_schedule(spec, 400.0, 600)
+        grid = [0, 15, 30, 45, 60]
+        lind = emulate(sch, NoiseChannels.all_off(), (16, 14), grid)
+        comp = compose_ideal(sch, (16, 14), grid)
+        assert np.max(np.abs(lind.populations - comp.populations)) <= 1e-12
+        assert np.max(np.abs(lind.leakage - comp.leakage)) <= 1e-12
+
     def test_trace_and_positivity_hold_under_noise(self):
         spec = model.build_toy_model(2, 5.0)
         sch = build_schedule(spec, 400.0, 32)
