@@ -202,6 +202,11 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         return diagnostics
 
     ion = run_cfg.section("ion")
+    if backend != "compile":
+        # the emulated ions start with every mode in its ground state
+        nbar = cfg.parse_value(ion, "nbar", float, "0.0")
+        if nbar != 0:
+            raise ConfigError(f"ion backends have no thermal initial state; must be 0, got {nbar}", key="nbar")
     steps = _at_least(ion, "trotter_steps", 1)
     physical_rotations = cfg.parse_bool(ion, "physical_rotations")
     if backend == "ion-noisy":
@@ -242,6 +247,7 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     else:
         result = emulator.emulate(schedule, channels, cutoffs, grid_steps, policy=policy)
     result.to_csv(output)
+    diagnostics["max_leakage"] = float(result.leakage.max())
     diagnostics["operation_time_us"] = schedule.operation_time_us()
     return diagnostics
 
@@ -289,8 +295,8 @@ def _sections_from_flags(args) -> dict:
     if args.trajectories is not None:
         sections.setdefault("ehrenfest", {})["trajectories"] = str(args.trajectories)
     if args.nbar is not None:
-        sections.setdefault("exact", {})["nbar"] = repr(args.nbar)
-        sections.setdefault("ehrenfest", {})["nbar"] = repr(args.nbar)
+        for name in ("exact", "ehrenfest", "ion"):
+            sections.setdefault(name, {})["nbar"] = repr(args.nbar)
     if args.lambdas is not None:
         sections.setdefault("estimate", {})["lambdas"] = args.lambdas.replace(",", " ")
     if args.modes_list is not None:

@@ -8,13 +8,14 @@ use the same per-step duration accounting as the schedule itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidModelError
 from .model import build_toy_model
-from .pulses import HardwareParams, PulseSchedule, build_schedule
+from .pulses import HardwareParams, build_schedule
 from .units import US_PER_S
 
 
@@ -33,6 +34,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.lambdas or not self.mode_counts:
             raise InvalidModelError("experiment grid is empty")
+        for key in ("time_points", "trotter_steps", "runs_per_point"):
+            if getattr(self, key) < 1:
+                raise InvalidModelError(f"must be at least 1, got {getattr(self, key)}", key=key)
+        if not 0 < self.tau_fs < math.inf:  # NaN fails too
+            raise InvalidModelError(f"must be finite and positive, got {self.tau_fs}", key="tau_fs")
         if self.trotter_steps % self.time_points:
             raise InvalidModelError("trotter steps must be a multiple of the time points")
 
@@ -48,34 +54,50 @@ class CostRow:
     longest_run_operation_ms: float
 
 
-def schedule_cost(
-    schedule: PulseSchedule, runs_per_point: int, time_points: int
-) -> tuple:
-    """(total_s, overhead_s, operation_s, longest-run operation ms) for one schedule."""
-    steps = schedule.steps
-    stride = steps // time_points
-    overhead_us = schedule.hardware.overhead_per_run_us() * runs_per_point * time_points
-    times = schedule.operation_times_us()
-    operation_us = 0.0
-    for g in range(1, time_points + 1):
-        operation_us += runs_per_point * times[g * stride]
-    total_us = overhead_us + operation_us
-    longest_ms = times[steps] / 1e3
-    return total_us / US_PER_S, overhead_us / US_PER_S, operation_us / US_PER_S, longest_ms
+def _operation_times_us(spec, plan: ExperimentPlan) -> list:
+    """Operation time (us) before each step boundary 0 .. S, as ``PulseSchedule.operation_times_us``."""
+    steps = plan.trotter_steps
+    # One lowered step stands for all S.  A toy model (two states, dense
+    # encoding, no drive) lowers every step to the same ops, with angles
+    # computed from the same operands, so their durations are bit-identical;
+    # only the phases move with the step's midpoint time.  A drive or a
+    # one-hot model would break this, and the estimator builds neither.
+    one_step = build_schedule(spec, plan.tau_fs / steps, 1, plan.hardware)
+    durations = [float(p.duration_us) for p in one_step.ops]
+    # added one by one in op order, as the schedule adds them, so every
+    # boundary is the same float the full schedule gives
+    times = [0.0]
+    total = 0.0
+    for _ in range(steps):
+        for d in durations:
+            total += d
+        times.append(total)
+    return times
 
 
 def experimental_time(plan: ExperimentPlan) -> list:
-    """Cost table over the (lambda, N) grid; schedules are compiled per point."""
+    """Cost table over the (lambda, N) grid, one row per point."""
+    stride = plan.trotter_steps // plan.time_points
+    runs = plan.runs_per_point
+    overhead_us = plan.hardware.overhead_per_run_us() * runs * plan.time_points
     rows = []
     for n in plan.mode_counts:
         for lam in plan.lambdas:
-            spec = build_toy_model(n, lam)
-            schedule = build_schedule(spec, plan.tau_fs, plan.trotter_steps, plan.hardware)
-            total_s, overhead_s, operation_s, longest_ms = schedule_cost(
-                schedule, plan.runs_per_point, plan.time_points
-            )
+            times = _operation_times_us(build_toy_model(n, lam), plan)
+            operation_us = 0.0
+            for g in range(1, plan.time_points + 1):
+                operation_us += runs * times[g * stride]
+            total_us = overhead_us + operation_us
             rows.append(
-                CostRow(lam, n, plan.runs_per_point, total_s, overhead_s, operation_s, longest_ms)
+                CostRow(
+                    lam,
+                    n,
+                    runs,
+                    total_us / US_PER_S,
+                    overhead_us / US_PER_S,
+                    operation_us / US_PER_S,
+                    times[-1] / 1e3,
+                )
             )
     return rows
 

@@ -305,6 +305,7 @@ EXACT_RUN = ["run", "--config", "{ini}", "--backend", "exact", "--grid-points", 
 TOY_EXACT_RUN = ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "4"]
 NOISY_HW_RUN = ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "4", "--cutoffs", "4,4"]
 NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
+ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--cutoffs", "6,6"]
 
 
 @pytest.mark.parametrize(
@@ -443,6 +444,10 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         (None, ["estimate", "--lambdas", "nan,1", "--modes-list", "2"], "lambdas"),
         (None, ["estimate", "--lambdas", "1", "--modes-list", "0"], "modes_list"),
         (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-lambdas", "nan"], "lambda_over_delta"),
+        # the emulated ions start in the motional ground state; no thermal ion state exists yet
+        (None, [*ION_RUN, "--backend", "ion-ideal", "--nbar", "0.5"], "nbar"),
+        (None, [*ION_RUN, "--backend", "ion-noisy", "--nbar", "0.5"], "nbar"),
+        ("[model]\npreset = toy\n[ion]\nnbar = nan\n", [*ION_RUN, "--config", "{ini}", "--backend", "ion-ideal"], "nbar"),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
@@ -460,6 +465,7 @@ NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
         "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
         "estimate-lambda-nan", "estimate-modes-0", "sweep-lambda-nan",
+        "ion-ideal-nbar-flag", "ion-noisy-nbar-flag", "ion-nbar-nan",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
@@ -674,3 +680,26 @@ def test_removed_keys_are_carried_and_ignored(tmp_path, backend):
     assert sidecar["hardware"]["mode_frequency_bands_mhz"] == "1.8:1.98 2.45:2.58"
     section, key = ("ehrenfest", "sampling") if backend == "ehrenfest" else ("ion", "check")
     assert key in sidecar[section]
+
+
+@pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])
+def test_ion_nbar_zero_runs_as_without_the_flag(tmp_path, backend):
+    outs = {}
+    for name, extra in (("none", []), ("zero", ["--nbar", "0"])):
+        outs[name] = tmp_path / f"{name}.csv"
+        assert main([*ION_RUN, "--backend", backend, *extra, "--output", str(outs[name])]) == 0
+    assert outs["zero"].read_bytes() == outs["none"].read_bytes()
+
+
+@pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])
+def test_ion_sidecar_records_max_leakage(tmp_path, backend):
+    out = tmp_path / "o.csv"
+    assert main([*ION_RUN, "--backend", backend, "--output", str(out)]) == 0
+    sidecar = configparser.ConfigParser()
+    sidecar.read(str(out) + ".meta.ini")
+    leakage = read_csv(out).leakage
+    assert float(sidecar["meta"]["max_leakage"]) == leakage.max() > 0
+    assert "max_leakage" not in out.read_text()
+    replay = tmp_path / "replay.csv"
+    assert main(["run", "--config", str(out) + ".meta.ini", "--output", str(replay)]) == 0
+    assert replay.read_bytes() == out.read_bytes()

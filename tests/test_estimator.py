@@ -9,7 +9,6 @@ from ionvib.estimator import (
     overhead_baseline_s,
     rows_to_csv,
     scaling_fit,
-    schedule_cost,
 )
 from ionvib.pulses import HardwareParams, build_schedule, default_duration_calibration
 
@@ -48,21 +47,74 @@ class TestExperimentalTime:
             totals = [by_key[(lam, n)] for n in (2, 3, 4, 5)]
             assert all(a <= b for a, b in zip(totals, totals[1:]))
 
-    def test_shares_schedule_accounting(self):
-        spec = model.build_toy_model(2, 5.0)
-        schedule = build_schedule(spec, 400.0, 600)
-        total_s, overhead_s, operation_s, _ = schedule_cost(schedule, 100, 40)
-        manual = sum(
-            100 * schedule.operation_time_us(g * 15) for g in range(1, 41)
-        ) / 1e6
-        assert operation_s == pytest.approx(manual, rel=1e-12)
-        assert total_s == pytest.approx(overhead_s + operation_s, rel=1e-12)
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            ExperimentPlan(lambdas=(1.0, 5.0, 10.0, 20.0, 30.0), mode_counts=(2, 3, 4, 5)),
+            ExperimentPlan(lambdas=(0.0, 5.0), mode_counts=(1, 2), trotter_steps=7, time_points=7),
+            ExperimentPlan(lambdas=(1.0, 4.0), mode_counts=(2, 3), runs_per_point=3, tau_fs=250.0),
+            ExperimentPlan(lambdas=(0.0, 1.0, 30.0), mode_counts=(2,), hardware=floorless_hardware()),
+        ],
+        ids=["paper-grid", "lambda0-n1-s7", "tau250", "floorless"],
+    )
+    def test_rows_equal_full_schedule_accounting(self, plan):
+        # oracle: every Trotter step compiled, then the schedule's own prefix times
+        expected = []
+        for n in plan.mode_counts:
+            for lam in plan.lambdas:
+                spec = model.build_toy_model(n, lam)
+                times = build_schedule(spec, plan.tau_fs, plan.trotter_steps, plan.hardware).operation_times_us()
+                stride = plan.trotter_steps // plan.time_points
+                runs = plan.runs_per_point
+                overhead_us = plan.hardware.overhead_per_run_us() * runs * plan.time_points
+                operation_us = 0.0
+                for g in range(1, plan.time_points + 1):
+                    operation_us += runs * times[g * stride]
+                expected.append(
+                    CostRow(
+                        lam, n, runs, (overhead_us + operation_us) / 1e6, overhead_us / 1e6,
+                        operation_us / 1e6, times[plan.trotter_steps] / 1e3,
+                    )
+                )
+        rows = experimental_time(plan)
+        assert rows == expected
+        assert all(type(v) is float for r in rows for v in (r.total_s, r.operation_s, r.longest_run_operation_ms))
+
+    def test_prices_one_lowered_step_per_point(self, monkeypatch):
+        from ionvib import estimator
+
+        steps = []
+
+        def spy(spec, tau_fs, n_steps, *args, **kwargs):
+            steps.append(n_steps)
+            return build_schedule(spec, tau_fs, n_steps, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "build_schedule", spy)
+        experimental_time(ExperimentPlan(lambdas=(1.0, 30.0), mode_counts=(2, 5)))
+        assert steps == [1, 1, 1, 1]
 
     def test_grid_validation(self):
         with pytest.raises(InvalidModelError):
             ExperimentPlan(lambdas=(), mode_counts=(2,))
         with pytest.raises(InvalidModelError):
             ExperimentPlan(trotter_steps=601, time_points=40)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("time_points", 0),
+            ("trotter_steps", 0),
+            ("runs_per_point", 0),
+            ("tau_fs", float("nan")),
+            ("tau_fs", float("inf")),
+            ("tau_fs", 0.0),
+        ],
+        ids=["time-points-0", "trotter-steps-0", "runs-0", "tau-nan", "tau-inf", "tau-0"],
+    )
+    def test_bad_plan_value_names_its_key(self, key, value):
+        with pytest.raises(InvalidModelError) as info:
+            ExperimentPlan(**{key: value})
+        assert info.value.key == key
 
 
 class TestScalingFit:

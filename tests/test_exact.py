@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -420,3 +423,36 @@ def test_wall_time_recorded():
         exact.PropagationRequest(spec=spec, times_fs=np.array([0.0, 5.0]), cutoffs=(4, 4))
     )
     assert tr.metadata["wall_time_s"] > 0
+
+
+CLOCK_PROBE = """
+import sys, time
+from ionvib import exact, model
+
+modules = []
+clock = time.perf_counter
+time.perf_counter = lambda: modules.append(sorted(m for m in sys.modules if m in {deferred!r})) or clock()
+if {driven!r}:
+    envelope = model.Envelope("gaussian", amplitude=0.7, center_fs=50.0, width_fs=20.0)
+    spec = model.build_plet_model(
+        (0.0, 2.0, 2.02, 1.98), (0.012, 0.0), (0.0, 0.012), 0.01, 0.01, (1.0, 0.0), 2.0, envelope
+    )
+else:
+    spec = model.build_toy_model(1, 5.0)
+times = exact.default_time_grid(100.0, 3)
+exact.propagate(exact.PropagationRequest(spec=spec, times_fs=times, cutoffs=(4,) * spec.mode_count))
+print(*modules[0])
+"""
+
+
+@pytest.mark.parametrize("driven,module", [(False, "scipy.special"), (True, "scipy.integrate")])
+def test_wall_time_starts_after_the_solver_import(tmp_path, driven, module):
+    # a fresh interpreter: in-process, other test modules have loaded scipy already
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = CLOCK_PROBE.format(deferred=("scipy.integrate", "scipy.special"), driven=driven)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert module in proc.stdout.split()  # loaded when the clock first reads
