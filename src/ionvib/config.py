@@ -17,7 +17,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
-import math
 
 import numpy as np
 
@@ -236,18 +235,16 @@ def load_model(path) -> LvcmSpec:
 # --- hardware files ---------------------------------------------------------------
 
 
+#: hardware fields that hold one float, in declaration order
+_SCALAR_FIELDS = tuple(f.name for f in dataclasses.fields(HardwareParams) if isinstance(f.default, float))
+
+
 def hardware_to_sections(hw: HardwareParams) -> dict:
     cal = hw.duration_calibration
     return {
         "hardware": {
             "sideband_rabi_khz": f"{hw.sideband_rabi_khz[0]!r} {hw.sideband_rabi_khz[1]!r}",
-            "carrier_rabi_khz": repr(hw.carrier_rabi_khz),
-            "motional_coherence_ms": repr(hw.motional_coherence_ms),
-            "heating_rate_quanta_per_s": repr(hw.heating_rate_quanta_per_s),
-            "laser_coherence_ms": repr(hw.laser_coherence_ms),
-            "cooling_ms": repr(hw.cooling_ms),
-            "state_prep_us": repr(hw.state_prep_us),
-            "measurement_us": repr(hw.measurement_us),
+            **{name: repr(getattr(hw, name)) for name in _SCALAR_FIELDS},
             "duration_slope_us_per_rad": " ".join(f"{n}:{c!r}" for n, (c, _) in sorted(cal.items())),
             "duration_floor_us": " ".join(f"{n}:{f!r}" for n, (_, f) in sorted(cal.items())),
         }
@@ -255,6 +252,7 @@ def hardware_to_sections(hw: HardwareParams) -> dict:
 
 
 def hardware_from_sections(sections) -> HardwareParams:
+    """Hardware parameters of a ``[hardware]`` section; :class:`HardwareParams` checks their ranges."""
     h = sections.get("hardware", {})
     defaults = HardwareParams()
     if not h:
@@ -271,38 +269,11 @@ def hardware_from_sections(sections) -> HardwareParams:
         }
         cal = {n: (slopes[n], floors.get(n, 0.0)) for n in slopes}
     rabi = _sized(h, "sideband_rabi_khz", floats, 2) if "sideband_rabi_khz" in h else defaults.sideband_rabi_khz
-    hw = HardwareParams(
+    return HardwareParams(
         sideband_rabi_khz=(rabi[0], rabi[1]),
-        carrier_rabi_khz=parse_value(h, "carrier_rabi_khz", float, defaults.carrier_rabi_khz),
-        motional_coherence_ms=parse_value(h, "motional_coherence_ms", float, defaults.motional_coherence_ms),
-        heating_rate_quanta_per_s=parse_value(
-            h, "heating_rate_quanta_per_s", float, defaults.heating_rate_quanta_per_s
-        ),
-        laser_coherence_ms=parse_value(h, "laser_coherence_ms", float, defaults.laser_coherence_ms),
-        cooling_ms=parse_value(h, "cooling_ms", float, defaults.cooling_ms),
-        state_prep_us=parse_value(h, "state_prep_us", float, defaults.state_prep_us),
-        measurement_us=parse_value(h, "measurement_us", float, defaults.measurement_us),
+        **{name: parse_value(h, name, float, getattr(defaults, name)) for name in _SCALAR_FIELDS},
         duration_calibration=cal,
     )
-    for key, values, zero_ok, inf_ok in (
-        ("sideband_rabi_khz", hw.sideband_rabi_khz, False, False),
-        ("carrier_rabi_khz", [hw.carrier_rabi_khz], False, False),
-        # an infinite coherence time means no decay
-        ("motional_coherence_ms", [hw.motional_coherence_ms], False, True),
-        ("laser_coherence_ms", [hw.laser_coherence_ms], False, True),
-        ("heating_rate_quanta_per_s", [hw.heating_rate_quanta_per_s], True, False),
-        ("cooling_ms", [hw.cooling_ms], True, False),
-        ("state_prep_us", [hw.state_prep_us], True, False),
-        ("measurement_us", [hw.measurement_us], True, False),
-        ("duration_slope_us_per_rad", [c for c, _ in cal.values()], False, False),
-        ("duration_floor_us", [f for _, f in cal.values()], True, False),
-    ):
-        for v in values:
-            # NaN fails both comparisons
-            if not ((v >= 0 if zero_ok else v > 0) and (inf_ok or v < math.inf)):
-                rule = ("" if inf_ok else "finite and ") + (">= 0" if zero_ok else "> 0")
-                raise ConfigError(f"must be {rule}, got {v!r}", key=key)
-    return hw
 
 
 def load_hardware(path) -> HardwareParams:
@@ -323,7 +294,7 @@ RUN_DEFAULTS = {
     "initial_state": "0",
 }
 
-EXACT_DEFAULTS = {"eps_int": "1e-08", "eps_cut": "0.0001", "frame": "lab", "nbar": "0.0", "cutoffs": ""}
+EXACT_DEFAULTS = {"eps_int": "1e-08", "eps_cut": "0.0001", "nbar": "0.0", "cutoffs": ""}
 EHRENFEST_DEFAULTS = {"trajectories": "100", "nbar": "0.0", "tol": "1e-10"}
 ION_DEFAULTS = {
     "trotter_steps": "600",

@@ -89,10 +89,7 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 def sample_initial(config: EnsembleConfig, spec: LvcmSpec, rng: np.random.Generator) -> TrajectoryState:
     """Draw one Wigner-sampled initial condition."""
-    if config.initial_state >= spec.state_count:
-        raise InvalidModelError(
-            f"initial state must be 0 .. {spec.state_count - 1}, got {config.initial_state}", key="initial_state"
-        )
+    spec.check_state(config.initial_state)
     var = config.nbar + 0.5
     n = spec.mode_count
     q = rng.normal(0.0, np.sqrt(var), size=n)

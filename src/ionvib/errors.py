@@ -6,10 +6,11 @@ class IonvibError(Exception):
 
 
 class InvalidModelError(IonvibError):
-    """Model parameters violate a structural requirement (e.g. non-positive mode frequency).
+    """Model parameters or run settings violate a requirement (e.g. non-positive mode frequency).
 
-    ``key`` names the offending setting when it is a config key, so the CLI
-    can report it as a config error.
+    The library type that reads a setting checks it; ``key`` names the
+    offending setting when it is a config key, so the CLI can report it as a
+    config error.
     """
 
     def __init__(self, message, key=None):

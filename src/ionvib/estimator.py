@@ -8,12 +8,12 @@ use the same per-step duration accounting as the schedule itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidModelError
+from .exact import default_time_grid
 from .model import build_toy_model
 from .pulses import HardwareParams, build_schedule
 from .units import US_PER_S
@@ -37,10 +37,12 @@ class ExperimentPlan:
         for key in ("time_points", "trotter_steps", "runs_per_point"):
             if getattr(self, key) < 1:
                 raise InvalidModelError(f"must be at least 1, got {getattr(self, key)}", key=key)
-        if not 0 < self.tau_fs < math.inf:  # NaN fails too
-            raise InvalidModelError(f"must be finite and positive, got {self.tau_fs}", key="tau_fs")
+        default_time_grid(self.tau_fs, self.time_points)  # checks tau_fs
         if self.trotter_steps % self.time_points:
-            raise InvalidModelError("trotter steps must be a multiple of the time points")
+            raise InvalidModelError(
+                f"must be a multiple of time_points ({self.time_points}), got {self.trotter_steps}",
+                key="trotter_steps",
+            )
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,15 @@ WEIGHT_FLOOR = 1e-12
 
 
 def default_time_grid(tau_fs: float = DEFAULT_TAU_FS, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Equally spaced grid 0, tau/points, ..., tau (points-1)/points."""
+    """Equally spaced grid 0, tau/points, ..., tau (points-1)/points.
+
+    A ``tau_fs`` that is not finite and positive, or fewer than one point,
+    raises :class:`InvalidModelError` naming ``tau_fs`` or ``grid_points``.
+    """
+    if not 0 < tau_fs < math.inf:  # NaN fails too
+        raise InvalidModelError(f"must be finite and positive, got {tau_fs}", key="tau_fs")
+    if points < 1:
+        raise InvalidModelError(f"must be at least 1, got {points}", key="grid_points")
     return np.arange(points) * (tau_fs / points)
 
 
@@ -102,6 +110,7 @@ class PropagationRequest:
         if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise InvalidModelError("time grid must be strictly increasing and start at 0")
         object.__setattr__(self, "times_fs", t)
+        self.spec.check_state(self.initial_state)
         # NaN fails every comparison, so each check is written to reject it
         for key in ("eps_cut", "eps_int"):
             value = getattr(self, key)
@@ -294,14 +303,6 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> _Assembled:
     return _Assembled(sp.csr_matrix(static, dtype=complex), electronic)
 
 
-def _initial_electronic(spec: LvcmSpec, layout: SpaceLayout, index: int) -> np.ndarray:
-    if not 0 <= index < spec.state_count:
-        raise InvalidModelError(f"initial state must be 0 .. {spec.state_count - 1}, got {index}")
-    vec = np.zeros(layout.electronic_dim, dtype=complex)
-    vec[index] = 1.0
-    return vec
-
-
 def _thermal_mixture(layout: SpaceLayout, nbar: float):
     """Fock product states and weights representing the thermal initial condition.
 
@@ -360,7 +361,8 @@ def _run(request: PropagationRequest, cutoffs):
     spec = request.spec
     layout = layout_for(spec, cutoffs)
     parts = hamiltonian_parts(spec, layout)
-    elec = _initial_electronic(spec, layout, request.initial_state)
+    elec = np.zeros(layout.electronic_dim, dtype=complex)
+    elec[request.initial_state] = 1.0
     m = spec.state_count
     times = request.times_fs
     pops = np.zeros((len(times), m))

@@ -43,7 +43,7 @@ class SpaceLayout:
         if self.qubit_count < 0:
             raise InvalidModelError("qubit_count must be non-negative")
         if any(d < 2 for d in self.mode_cutoffs):
-            raise InvalidModelError("every mode cutoff must be >= 2")
+            raise InvalidModelError(f"every cutoff must be at least 2, got {min(self.mode_cutoffs)}", key="cutoffs")
         if self.dim > DIM_LIMIT:
             raise DimensionLimitError(f"total dimension {self.dim} exceeds the limit {DIM_LIMIT}")
 

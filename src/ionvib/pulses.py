@@ -99,7 +99,10 @@ def default_duration_calibration() -> dict:
 
 @dataclass(frozen=True)
 class HardwareParams:
-    """Trapped-ion system, noise, and overhead parameters (Table-style fields)."""
+    """Trapped-ion system, noise, and overhead parameters (Table-style fields).
+
+    A value out of its range raises :class:`InvalidModelError` naming its key.
+    """
 
     sideband_rabi_khz: tuple = (1.47, 4.95)
     carrier_rabi_khz: float = 50.0
@@ -110,6 +113,27 @@ class HardwareParams:
     state_prep_us: float = 100.0
     measurement_us: float = 150.0
     duration_calibration: dict = field(default_factory=default_duration_calibration)
+
+    def __post_init__(self):
+        cal = self.duration_calibration.values()
+        for key, values, zero_ok, inf_ok in (
+            ("sideband_rabi_khz", self.sideband_rabi_khz, False, False),
+            ("carrier_rabi_khz", [self.carrier_rabi_khz], False, False),
+            # an infinite coherence time means no decay
+            ("motional_coherence_ms", [self.motional_coherence_ms], False, True),
+            ("laser_coherence_ms", [self.laser_coherence_ms], False, True),
+            ("heating_rate_quanta_per_s", [self.heating_rate_quanta_per_s], True, False),
+            ("cooling_ms", [self.cooling_ms], True, False),
+            ("state_prep_us", [self.state_prep_us], True, False),
+            ("measurement_us", [self.measurement_us], True, False),
+            ("duration_slope_us_per_rad", [c for c, _ in cal], False, False),
+            ("duration_floor_us", [f for _, f in cal], True, False),
+        ):
+            for v in values:
+                # NaN fails both comparisons
+                if not ((v >= 0 if zero_ok else v > 0) and (inf_ok or v < math.inf)):
+                    rule = ("" if inf_ok else "finite and ") + (">= 0" if zero_ok else "> 0")
+                    raise InvalidModelError(f"must be {rule}, got {v!r}", key=key)
 
     def overhead_per_run_us(self) -> float:
         return self.cooling_ms * US_PER_MS + self.state_prep_us + self.measurement_us
@@ -178,7 +202,7 @@ def trotterize(spec: LvcmSpec, tau_fs: float, steps: int) -> list:
     surface as motional-phase values on the lowered pulses.
     """
     if steps < 1:
-        raise InvalidModelError("need at least one Trotter step")
+        raise InvalidModelError(f"must be at least 1, got {steps}", key="trotter_steps")
     m, n = spec.state_count, spec.mode_count
     dt = tau_fs / steps
     energies = static_energies(spec)
@@ -560,6 +584,7 @@ def build_schedule(
     physical_rotations: bool = False,
 ) -> PulseSchedule:
     """Compile a model into a complete pulse schedule."""
+    spec.check_state(initial_state)
     hardware = hardware or HardwareParams()
     mapping = map_spec(spec)
     n_ions = ions_for(spec)

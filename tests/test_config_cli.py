@@ -1,16 +1,23 @@
 import configparser
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ionvib import config as cfg
+from ionvib import estimator, exact, pulses
 from ionvib import hilbert as hb
 from ionvib import model
 from ionvib.cli import main
-from ionvib.errors import ConfigError
+from ionvib.errors import ConfigError, InvalidModelError
 from ionvib.pulses import HardwareParams
 from ionvib.trace import read_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestModelFiles:
@@ -402,7 +409,6 @@ ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--c
         ("[model]\npreset = toy\n[exact]\nnbar = nan\n", [*EXACT_RUN], "nbar"),
         ("[model]\npreset = toy\n[exact]\nnbar = -1\n", [*EXACT_RUN], "nbar"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--nbar", "-1"], "nbar"),
-        ("[model]\npreset = toy\n[exact]\nframe = rotating\n", [*EXACT_RUN], "frame"),
         ("[hardware]\nmotional_coherence_ms = 0\n", [*NOISY_HW_RUN], "motional_coherence_ms"),
         ("[hardware]\nmotional_coherence_ms = -36\n", [*NOISY_HW_RUN], "motional_coherence_ms"),
         ("[hardware]\nheating_rate_quanta_per_s = nan\n", [*NOISY_HW_RUN], "heating_rate_quanta_per_s"),
@@ -459,7 +465,7 @@ ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--c
         "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg",
         "exact-cutoff-1", "ion-cutoff-1", "exact-eps-cut-nan", "exact-eps-cut-inf", "exact-eps-cut-0",
         "exact-eps-cut-neg", "exact-eps-int-0", "exact-eps-int-nan", "exact-eps-int-neg", "exact-nbar-nan",
-        "exact-nbar-neg", "exact-nbar-flag-neg", "exact-frame-unknown", "hardware-motional-coherence-0",
+        "exact-nbar-neg", "exact-nbar-flag-neg", "hardware-motional-coherence-0",
         "hardware-motional-coherence-neg", "hardware-heating-nan", "hardware-sideband-rabi-inf",
         "hardware-carrier-rabi-0", "hardware-cooling-neg", "hardware-slope-neg", "hardware-floor-neg",
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
@@ -703,3 +709,79 @@ def test_ion_sidecar_records_max_leakage(tmp_path, backend):
     replay = tmp_path / "replay.csv"
     assert main(["run", "--config", str(out) + ".meta.ini", "--output", str(replay)]) == 0
     assert replay.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "owner,key",
+    [
+        (lambda: pulses.build_schedule(model.build_toy_model(2, 1.0), 400.0, 10, initial_state=5), "initial_state"),
+        (lambda: HardwareParams(carrier_rabi_khz=0), "carrier_rabi_khz"),
+        (lambda: exact.default_time_grid(400.0, 0), "grid_points"),
+        (lambda: exact.default_time_grid(float("nan"), 40), "tau_fs"),
+        (lambda: estimator.ExperimentPlan(time_points=7), "trotter_steps"),
+        (lambda: pulses.trotterize(model.build_toy_model(2, 1.0), 400.0, 0), "trotter_steps"),
+        (lambda: hb.SpaceLayout(0, (1,)), "cutoffs"),
+    ],
+    ids=["schedule-initial-state", "hardware-carrier-rabi", "grid-points-0", "tau-nan", "plan-multiple",
+         "trotter-steps-0", "layout-cutoff-1"],
+)
+def test_library_owner_raises_keyed_error(owner, key):
+    # the library type that reads a setting checks it; the CLI reports the key with exit 2
+    with pytest.raises(InvalidModelError) as info:
+        owner()
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize(
+    "backend,array,values",
+    [
+        ("exact", "nu", "nan"),
+        ("ion-ideal", "nu", "inf"),
+        ("ion-noisy", "kappa", "0.01 0 0 nan"),
+        ("compile", "kappa", "inf 0 0 -0.01"),
+        ("ehrenfest", "delta", "0 nan nan 0"),
+    ],
+    ids=["exact-nu-nan", "ion-ideal-nu-inf", "ion-noisy-kappa-nan", "compile-kappa-inf", "ehrenfest-delta-nan"],
+)
+def test_non_finite_model_array_exits_1(tmp_path, backend, array, values):
+    arrays = {"delta": "0 0.01 0.01 0", "kappa": "0.01 0 0 -0.01", "nu": "0.05", array: values}
+    path = tmp_path / "m.ini"
+    path.write_text(
+        f"[model]\nstates = 2\nmodes = 1\ndelta_ev = {arrays['delta']}\nkappa_ev = {arrays['kappa']}\n"
+        f"[modes]\nnu_ev = {arrays['nu']}\n"
+    )
+    args = ["run", "--model-file", str(path), "--backend", backend, "--cutoffs", "4", "--steps", "4"]
+    args += ["--grid-points", "4", "--trajectories", "2", "--output", str(tmp_path / "o.csv")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # a fresh process with a timeout: an Ehrenfest run on a NaN coupling would otherwise integrate without end
+    proc = subprocess.run(
+        [sys.executable, "-m", "ionvib.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == f"error: {array} has an entry that is not finite"
+
+
+def test_estimate_grid_points_sets_time_points(tmp_path):
+    outs = {}
+    ini = tmp_path / "c.ini"
+    ini.write_text("[run]\nbackend = estimate\n[estimate]\ntime_points = 20\n")
+    for name, extra in (("flag", ["estimate", "--grid-points", "20"]), ("key", ["run", "--config", str(ini)])):
+        outs[name] = tmp_path / f"{name}.csv"
+        assert main([*extra, "--lambdas", "1", "--modes-list", "2", "--output", str(outs[name])]) == 0
+    assert outs["flag"].read_bytes() == outs["key"].read_bytes()
+    assert cfg.load_run_sections(str(outs["flag"]) + ".meta.ini")["estimate"]["time_points"] == "20"
+
+
+def test_readme_run_config_matches_resolved_defaults(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A complete run config:\n\n```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block.group(1))
+    documented = cfg.load_run_sections(str(path))
+    documented.pop("model")  # an example model, not defaults
+    backends = {"run": "exact", "exact": "exact", "ehrenfest": "ehrenfest", "ion": "ion-ideal", "estimate": "estimate"}
+    assert sorted(documented) == sorted(backends)
+    for name, backend in backends.items():
+        resolved = cfg.resolve_run_config({"model": {"preset": "toy"}, "run": {"backend": backend}})
+        assert documented[name] == resolved.section(name), name

@@ -410,11 +410,10 @@ class TestTraceCsv:
 @pytest.mark.parametrize("initial", [-1, 2])
 def test_integer_initial_state_out_of_range(initial):
     vaet = model.build_vaet_model(0.0, 0.02, 0.03, 0.01, 0.012, -0.008, 0.015, (0.05, 0.06, 0.07))
-    req = exact.PropagationRequest(
-        spec=vaet, times_fs=np.array([0.0, 5.0]), initial_state=initial, cutoffs=(2, 2, 2)
-    )
     with pytest.raises(InvalidModelError, match="initial state"):
-        exact.propagate(req)
+        exact.PropagationRequest(
+            spec=vaet, times_fs=np.array([0.0, 5.0]), initial_state=initial, cutoffs=(2, 2, 2)
+        )
 
 
 def test_wall_time_recorded():
