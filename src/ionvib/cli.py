@@ -12,7 +12,8 @@ Every quantity-carrying flag and config key names its unit (``--tau-fs``,
 ``delta_ev``, ...).  Each output CSV gets a ``<output>.meta.ini`` sidecar
 holding the fully resolved configuration (seeds and adaptive cutoffs
 included); running ``ionvib run --config <sidecar>`` reproduces the output
-byte-for-byte.
+byte-for-byte.  An ``ion-noisy`` output does so only under the same BLAS
+thread settings, which its sidecar records as ``blas_threads``.
 
 Exit codes: 0 success, 2 config/parse error, 3 convergence failure,
 4 infeasible schedule, 1 other workbench errors.
@@ -21,6 +22,7 @@ Exit codes: 0 success, 2 config/parse error, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -215,9 +217,10 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         return diagnostics
 
     grid_steps = _grid_steps(steps, len(times))
+    # the exact contract the cutoffs are searched under, and the leakage bound the ion run is held to
+    req = exact.PropagationRequest(spec=spec, times_fs=times)
     cutoffs = _parse_cutoffs(ion)
     if cutoffs is None:
-        req = exact.PropagationRequest(spec=spec, times_fs=times)
         searched = {}
         cutoffs = exact.converge_cutoffs(req, searched)
         run_cfg.sections["ion"]["cutoffs"] = " ".join(str(c) for c in cutoffs)
@@ -228,8 +231,18 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         result = pulses.compose_ideal(schedule, cutoffs, grid_steps)
     else:
         result = emulator.emulate(schedule, channels, cutoffs, grid_steps, policy=policy)
+        # the cached channel exponentials factor with LAPACK's threaded LU, so
+        # their last bits, and the CSV's, follow the BLAS thread count
+        threads = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        diagnostics["blas_threads"] = f"{threads}; cpu_count={os.cpu_count()}"
     result.to_csv(output)
     diagnostics["max_leakage"] = float(result.leakage.max())
+    if diagnostics["max_leakage"] > req.eps_cut:
+        print(
+            f"warning: {backend} max_leakage {diagnostics['max_leakage']:.3g} exceeds [exact] eps_cut "
+            f"{req.eps_cut:g}: cutoffs are certified on the exact state, not on the Trotterized one",
+            file=sys.stderr,
+        )
     diagnostics["operation_time_us"] = schedule.operation_time_us()
     return diagnostics
 

@@ -42,8 +42,26 @@ sparsity graph (an sdf pulse under heating has two, split by the parity of
 the ket and bra excitation numbers).  Each block is exponentiated densely
 (``scipy.linalg.expm``) once per :func:`emulate` call while all blocks
 together fit :data:`DENSE_BYTES`; larger local spaces apply ``expm_multiply``
-to the sparse zero-phase generator instead.  The idle-mode channels are
-cached the same way by (cutoff, duration).
+to the sparse zero-phase generator instead.  Virtual and other zero-duration
+ops apply the channel Ad(U) = exp(-i angle [G, .]) the same way, with no
+dissipator.  The idle-mode channels exp(t D_k) are cached by (cutoff,
+duration).
+
+One kernel applies every op.  It views rho as a matrix whose rows are the
+(ket, bra) pairs (l, l') of the op's own factors and whose columns are the
+pairs (r, r') of the other factors: Ad(D) S0 Ad(D^dag) acts on the rows,
+each idle-mode channel on the columns.  Every dissipator here (n, a^dag, Z)
+keeps each n_k - n'_k, so the columns with r >= r' (a difference vector
+n_k - n'_k over the other factors that is lexicographically >= 0) map among
+themselves, and the rest of rho is the conjugate of their mirror
+(l', l, r', r).  So one gather reads that Hermitian half, the local blocks
+multiply it, the idle channels act on it as sparse column operators, and one
+scatter writes it and its mirror; the result is exactly Hermitian.  A plan
+per set of op axes, cached for the :func:`emulate` call, holds the flat
+offsets of the rows, the half columns and their mirrors; the idle column
+operators are cached by (axes, duration).  Every dense BLAS or LAPACK call
+of the per-op loop, the products and the Cholesky check below, goes through
+scipy's library, so numpy's and scipy's thread pools never take turns.
 
 Trace and positivity are checked after every pulse with a duration, in
 every run: the trace stays within 1e-6 of 1, and the Hermitian part of rho
@@ -60,14 +78,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, get_lapack_funcs
+from scipy.linalg import expm, get_blas_funcs, get_lapack_funcs
 
 from .errors import InvalidModelError, NumericalFailureError
 from .hilbert import SpaceLayout, annihilation, number_operator, pauli
 from .pulses import (
     HardwareParams,
     PulseSchedule,
-    apply_pulse,
     base_generator,
     hardware_initial_vector,
     hardware_layout,
@@ -82,8 +99,10 @@ from .units import US_PER_MS, US_PER_S
 DENSE_BYTES = 2**25
 #: most bytes the density matrix and its working copies may take
 RHO_BYTES_LIMIT = 2**31
-#: the density matrix plus the working copies one step makes of it (about 6
-#: measured on the ``expm_multiply`` path, the larger one)
+#: the density matrix plus the working copies one step makes of it (about 4
+#: measured on either path, the positivity check's two included), with room
+#: for the cached plans and idle column operators, whose arrays grow as
+#: dim^2 / (local dim)^2
 RHO_COPIES = 8
 
 
@@ -145,17 +164,28 @@ def _collapse_ops(n_qubits: int, cutoff: int, rates: dict) -> list:
 
 
 def _liouvillian(h, collapse_ops) -> sp.csr_matrix:
-    """-i[h, .] + sum of dissipators, acting on the row-major vec(rho) of h's space."""
+    """-i[h, .] + sum of dissipators, acting on the row-major vec(rho) of h's space.
+
+    With K = h - (i/2) sum_j L_j^dag L_j it is -i K (x) I + i I (x) K* + sum_j L_j (x) L_j*.
+    """
     ident = sp.identity(h.shape[0], dtype=complex, format="csr")
-    lio = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
+    k = sp.csr_matrix(h, dtype=complex)
     for l_op in collapse_ops:
-        ldl = l_op.getH() @ l_op
-        lio = lio + sp.kron(l_op, l_op.conj()) - 0.5 * sp.kron(ldl, ident) - 0.5 * sp.kron(ident, ldl.T)
+        k = k - 0.5j * (l_op.getH() @ l_op)
+    lio = -1j * sp.kron(k, ident) + 1j * sp.kron(ident, k.conj())
+    for l_op in collapse_ops:
+        lio = lio + sp.kron(l_op, l_op.conj())
     return lio.tocsr()
 
 
-def _propagator(lio: sp.csr_matrix, t_us: float):
-    """exp(t L) as dense blocks [(indices, block)] when they fit, else the sparse t L."""
+def _propagator(lio: sp.csr_matrix, t_us: float, dense_bytes: int | None = None):
+    """exp(t L) as ``(order, blocks)``: ``order`` lists the vec indices block by block.
+
+    The blocks are the connected components of L's sparsity graph, each
+    exponentiated densely, while their bytes fit ``dense_bytes`` (default
+    :data:`DENSE_BYTES`); otherwise the one block is the sparse t L itself,
+    for ``expm_multiply``.
+    """
     from scipy.sparse.csgraph import connected_components  # only the noisy path needs it
 
     graph = abs(lio)
@@ -163,36 +193,127 @@ def _propagator(lio: sp.csr_matrix, t_us: float):
     _, labels = connected_components(graph, directed=False)
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    if 16 * sum(b.size**2 for b in blocks) > DENSE_BYTES:
-        return t_us * lio
-    return [(b, expm(t_us * lio[b][:, b].toarray())) for b in blocks]
+    limit = DENSE_BYTES if dense_bytes is None else dense_bytes
+    if 16 * sum(b.size**2 for b in blocks) > limit:
+        return np.arange(lio.shape[0]), [(t_us * lio).tocsr()]
+    return order, [expm(t_us * lio[b][:, b].toarray()) for b in blocks]
 
 
-def _apply_channel(t: np.ndarray, prop, axes: list, w: np.ndarray | None = None) -> np.ndarray:
-    """Apply a local propagator to the ket and bra ``axes`` of rho's tensor ``t``.
+def _offsets(factors: list, axes: list) -> np.ndarray:
+    """Flat offset in a ket index of each basis state of the factors ``axes``, row-major in that order."""
+    off = np.zeros(1, dtype=np.intp)
+    for a in axes:
+        off = (off[:, None] + math.prod(factors[a + 1 :]) * np.arange(factors[a])).ravel()
+    return off
 
-    ``prop`` comes from :func:`_propagator`.  ``w`` holds the phases of Ad(D)
-    on the local (ket, bra) pairs; the propagator applied is Ad(D) prop Ad(D^dag).
+
+@dataclass(frozen=True)
+class _Plan:
+    """Where one op's rows and the Hermitian half of its columns sit in rho's flat buffer.
+
+    Row (l, l') is a (ket, bra) pair of the op's own factors, in the row-major
+    vec order of its local superoperator; column (r, r') is a (ket, bra) pair
+    of the other factors with r >= r' as rest indices.  In the mixed radix
+    of the rest factors that is the same as a difference vector
+    (n_k - n'_k per rest factor) that is lexicographically >= 0.  The r == r'
+    columns come first.  The other half of rho is the conjugate of the
+    mirror (l', l, r', r) of this one.
     """
-    half = t.ndim // 2
-    local = axes + [half + a for a in axes]
-    front = list(range(len(local)))
-    m = np.moveaxis(t, local, front)
-    shape = m.shape
-    m = np.ascontiguousarray(m.reshape(math.prod(shape[: len(local)]), -1))
-    if w is not None:
-        m = w.conj()[:, None] * m
-    if sp.issparse(prop):
-        from scipy.sparse.linalg import expm_multiply  # only oversized local spaces need it
 
-        out = expm_multiply(prop, m)
-    else:
-        out = np.empty_like(m)
-        for idx, block in prop:
-            out[idx] = block @ m[idx]
-    if w is not None:
-        out *= w[:, None]
-    return np.moveaxis(out.reshape(shape), front, local)
+    rows: np.ndarray  # flat offset of (l, l')
+    swapped: np.ndarray  # flat offset of (l', l)
+    lower: np.ndarray  # l > l'
+    cols: np.ndarray  # flat offset of (r, r'), the r == r' ones first
+    mirror: np.ndarray  # flat offset of (r', r) for the r > r' columns
+    ket: np.ndarray  # rest index r of each column
+    bra: np.ndarray  # rest index r' of each column
+    rest_axes: tuple
+
+    @property
+    def diag(self) -> int:
+        """Number of r == r' columns."""
+        return len(self.cols) - len(self.mirror)
+
+    @classmethod
+    def build(cls, layout, axes: list) -> "_Plan":
+        factors, dim = layout.factors(), layout.dim
+        local = _offsets(factors, axes)
+        rest_axes = tuple(a for a in range(len(factors)) if a not in axes)
+        rest = _offsets(factors, rest_axes)
+        below = np.tril_indices(len(rest), -1)
+        ket = np.concatenate([np.arange(len(rest)), below[0]])
+        bra = np.concatenate([np.arange(len(rest)), below[1]])
+        return cls(
+            rows=(local[:, None] * dim + local).ravel(),
+            swapped=(local * dim + local[:, None]).ravel(),
+            lower=np.greater.outer(np.arange(len(local)), np.arange(len(local))).ravel(),
+            cols=rest[ket] * dim + rest[bra],
+            mirror=rest[below[1]] * dim + rest[below[0]],
+            ket=ket,
+            bra=bra,
+            rest_axes=rest_axes,
+        )
+
+    def idle_operator(self, layout, mode: int, channel: sp.csr_matrix) -> sp.csr_matrix:
+        """An idle mode's channel, row-major on its (n, n') pairs, as an operator on these columns.
+
+        The channel keeps n - n' (every dissipator here does), so it maps the
+        Hermitian half of the columns to itself.
+        """
+        factors = layout.factors()
+        axis = layout.qubit_count + mode
+        d = factors[axis]
+        stride = math.prod(factors[a] for a in self.rest_axes if a > axis)
+        n, n2 = (self.ket // stride) % d, (self.bra // stride) % d
+        pair = n * d + n2
+        per_col = np.diff(channel.indptr)[pair]
+        col = np.repeat(np.arange(len(pair)), per_col)
+        entry = np.repeat(channel.indptr[pair] - (np.cumsum(per_col) - per_col), per_col) + np.arange(col.size)
+        m, m2 = np.divmod(channel.indices[entry], d)
+        ket = self.ket[col] + (m - n[col]) * stride
+        bra = self.bra[col] + (m2 - n2[col]) * stride
+        # r > r' columns follow the r == r' ones row by row, as np.tril_indices lists them
+        target = np.where(ket == bra, ket, self.diag + ket * (ket - 1) // 2 + bra)
+        return sp.csr_matrix((channel.data[entry], (col, target)), shape=(len(pair), len(pair)))
+
+
+def _channel(rho: np.ndarray, plan: _Plan, prop, w: np.ndarray, idle: list) -> np.ndarray:
+    """Apply Ad(D) prop Ad(D^dag) on an op's own factors and the ``idle`` column operators to rho.
+
+    Only the Hermitian half of the columns of ``plan`` is read and computed;
+    the result is filled in from it by conjugate symmetry, so it is exactly
+    Hermitian.  ``w`` holds the phases of Ad(D) on the (l, l') pairs.  Every
+    dense product goes through scipy's BLAS.
+    """
+    order, blocks = prop
+    rows, swapped, w = plan.rows[order], plan.swapped[order], w[order]
+    m = rho.reshape(-1)[rows[:, None] + plan.cols]
+    m *= w.conj()[:, None]
+    out = np.empty(m.shape, dtype=complex)  # C-contiguous, so that gemm writes its row blocks in place
+    (gemm,) = get_blas_funcs(("gemm",), (m,))
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[0]
+        if sp.issparse(block):
+            from scipy.sparse.linalg import expm_multiply  # only oversized local spaces need it
+
+            out[start:stop] = expm_multiply(block, m[start:stop])
+        else:
+            # block @ m as its transpose, so that every operand is contiguous and out is written in place
+            gemm(1.0, m[start:stop].T, block.T, c=out[start:stop].T, overwrite_c=True)
+        start = stop
+    out *= w[:, None]
+    out = out.T
+    for op in idle:
+        out = op @ out
+    new = np.empty_like(rho)
+    flat = new.reshape(-1)
+    flat[plan.cols[:, None] + rows] = out
+    flat[plan.mirror[:, None] + swapped] = out[plan.diag :].conj()
+    lower = plan.lower[order]
+    flat[plan.cols[: plan.diag, None] + swapped[lower]] = out[: plan.diag, lower].conj()
+    np.fill_diagonal(new.imag, 0.0)
+    return new
 
 
 def _check_state(rho, trace_tol=1e-6, eig_tol=1e-6, context=""):
@@ -204,7 +325,7 @@ def _check_state(rho, trace_tol=1e-6, eig_tol=1e-6, context=""):
     # transpose is its conjugate, with the same eigenvalues, and is already in
     # the column-major order LAPACK factors in place.
     shifted = rho + rho.conj().T
-    shifted[np.diag_indices_from(shifted)] += 2.0 * eig_tol
+    shifted.reshape(-1)[:: len(shifted) + 1] += 2.0 * eig_tol
     (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
     factor, info = potrf(shifted.T, lower=True, clean=False, overwrite_a=True)
     if info != 0 or not np.isfinite(np.diagonal(factor)).all():
@@ -219,43 +340,60 @@ def lindblad_step(
     layout,
     cache: dict | None = None,
 ) -> np.ndarray:
-    """Propagate a density matrix through one pulse (or virtual op).
+    """Propagate a Hermitian density matrix through one pulse (or virtual op).
 
-    Zero-duration ops apply their unitary on their own tensor factors
-    (:func:`~ionvib.pulses.apply_pulse`).  Pulses with a duration apply
-    exp(t L_loc) on their own factors and the idle-mode channels on the other
-    modes, as in the module docstring, then check the trace and positivity of
-    the result (:class:`~ionvib.errors.NumericalFailureError` on a violation).
-    ``cache`` holds the zero-phase unitaries and propagators by key; it
-    belongs to one :func:`emulate` call, whose channels and hardware it
-    assumes.
+    Pulses with a duration apply exp(t L_loc) on their own factors and the
+    idle-mode channels on the other modes, as in the module docstring, then
+    check the trace and positivity of the result
+    (:class:`~ionvib.errors.NumericalFailureError` on a violation).
+    Zero-duration ops apply their unitary U = exp(-i angle G) as the channel
+    Ad(U) = exp(-i angle [G, .]) on their own factors, without a check.
+    Only the Hermitian half of ``rho`` is read, and the result is exactly
+    Hermitian.  ``cache`` holds the plans, the zero-phase local channels and
+    the idle-mode channels by key; it belongs to one :func:`emulate` call,
+    whose channels and hardware it assumes.
     """
     cache = {} if cache is None else cache
-    if pulse.virtual or pulse.duration_us == 0.0:
-        return apply_pulse(rho, pulse, layout, cache)
-    rates = channel_rates_per_us(channels, hardware)
-    t_us = pulse.duration_us
+    unitary = pulse.virtual or pulse.duration_us == 0.0
+    t_us = 0.0 if unitary else pulse.duration_us
+    rates = {} if unitary else channel_rates_per_us(channels, hardware)
     axes, d, cutoff = pulse_factors(pulse, layout)
-    key = (pulse.kind, pulse.angle, t_us, cutoff)
+    plan = cache.get(tuple(axes))
+    if plan is None:
+        plan = cache[tuple(axes)] = _Plan.build(layout, axes)
+    key = ("channel", pulse.kind, pulse.angle, t_us, cutoff)
     prop = cache.get(key)
     if prop is None:
-        h0 = (pulse.angle / t_us) * sp.csr_matrix(base_generator(pulse.kind, cutoff))
+        span = t_us or 1.0  # a zero-duration op: exp(1 L) with H = angle G
+        h0 = (pulse.angle / span) * sp.csr_matrix(base_generator(pulse.kind, cutoff))
         collapse = _collapse_ops(len(pulse.qubits), cutoff, rates)
-        prop = cache[key] = _propagator(_liouvillian(h0, collapse), t_us)
-    t = _apply_channel(rho.reshape(layout.factors() * 2), prop, axes, np.kron(d, d.conj()))
-    if "motional_dephasing" in rates or "heating" in rates:
-        for k, dk in enumerate(layout.mode_cutoffs):
-            if k == pulse.mode:
-                continue
-            prop = cache.get((dk, t_us))
-            if prop is None:
-                free = sp.csr_matrix((dk, dk), dtype=complex)
-                idle = _liouvillian(free, _collapse_ops(0, dk, rates))
-                prop = cache[(dk, t_us)] = _propagator(idle, t_us)
-            t = _apply_channel(t, prop, [layout.qubit_count + k])
-    rho = t.reshape(rho.shape)
-    _check_state(rho, context=f"after {pulse.kind} pulse at step {pulse.step}")
+        prop = cache[key] = _propagator(_liouvillian(h0, collapse), span)
+    key = ("idle", tuple(axes), t_us)
+    idle = cache.get(key)
+    if idle is None:
+        idle = cache[key] = []
+        if "motional_dephasing" in rates or "heating" in rates:
+            for k, dk in enumerate(layout.mode_cutoffs):
+                if k != pulse.mode:
+                    idle.append(plan.idle_operator(layout, k, _mode_channel(dk, t_us, rates, cache)))
+    rho = _channel(rho, plan, prop, np.multiply.outer(d, d.conj()).ravel(), idle)
+    if not unitary:
+        _check_state(rho, context=f"after {pulse.kind} pulse at step {pulse.step}")
     return rho
+
+
+def _mode_channel(cutoff: int, t_us: float, rates: dict, cache: dict) -> sp.csr_matrix:
+    """exp(t D) of an idle mode's always-on dissipators, row-major on its (n, n') pairs."""
+    key = ("mode", cutoff, t_us)
+    if key not in cache:
+        free = sp.csr_matrix((cutoff, cutoff), dtype=complex)
+        order, blocks = _propagator(_liouvillian(free, _collapse_ops(0, cutoff, rates)), t_us, dense_bytes=math.inf)
+        inverse = np.argsort(order)
+        channel = sp.block_diag(blocks, format="csr")[inverse][:, inverse]
+        channel.eliminate_zeros()
+        channel.sort_indices()
+        cache[key] = channel
+    return cache[key]
 
 
 def emulate(

@@ -26,8 +26,9 @@ The electronic Hamiltonian, drive and rotating-wave convention included, is
 ``LvcmSpec.electronic_matrix``; this module never reads the drive itself.  A
 time-independent model puts E(0) (x) I into the static matrix; a
 time-dependent one applies E(t) on the electronic factor of the state inside
-the integrator's right-hand side.  Each mode term is K_k (x) a_k, with a_k
-built by :mod:`ionvib.hilbert` on the mode-only layout.
+the integrator's right-hand side.  Each mode term is K_k (x) a_k plus its
+Hermitian conjugate; :func:`hamiltonian_parts` writes every term's entries
+by index arithmetic, without building a_k.
 
 Thermal initial mode states (one nbar shared by every mode) are expanded
 into a weighted mixture of Fock product states (the thermal state is
@@ -282,25 +283,52 @@ def _padded(layout: SpaceLayout, matrix: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> _Assembled:
-    modes = SpaceLayout(0, layout.mode_cutoffs)
+    """The static sparse H and, for a time-dependent model, the electronic E(t).
+
+    H is built by index arithmetic on the (electronic state, mode levels)
+    basis: E (x) I for a time-independent model, sum_k nu_k n_k on the
+    diagonal, and K_k (x) a_k plus its Hermitian conjugate.  Only the
+    diagonal sums two of these terms, E_ii + sum_k nu_k n_k.
+    """
+    rest = layout.dim // layout.electronic_dim
+    modes = np.arange(rest)
+    # one empty entry each, for a time-dependent model without modes
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+
+    def add(matrix, ket, bra, amp):
+        """Entries matrix[e, e'] * amp of |e, ket><e', bra|, over the nonzeros of ``matrix``."""
+        e, e2 = np.nonzero(matrix)
+        rows.append((e[:, None] * rest + ket).ravel())
+        cols.append((e2[:, None] * rest + bra).ravel())
+        vals.append((matrix[e, e2][:, None] * amp).ravel())
+
     electronic = None
     if spec.is_time_dependent():
-        static = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
 
         def electronic(t):
             return _padded(layout, spec.electronic_matrix(t))
 
     else:
-        static = sp.kron(_padded(layout, spec.electronic_matrix(0.0)), sp.identity(modes.dim), format="csr")
+        add(_padded(layout, spec.electronic_matrix(0.0)), modes, modes, np.ones(rest))
     if spec.mode_count:
         # sum_k nu_k n_k as one diagonal, repeated for every electronic state
         levels = np.indices(layout.mode_cutoffs).reshape(spec.mode_count, -1)
-        static = static + sp.diags(np.tile(spec.nu @ levels, layout.electronic_dim), format="csr")
-    for k in range(spec.mode_count):
-        # K_k (x) a_k ; its Hermitian conjugate carries a_k^dag
-        b = sp.kron(_padded(layout, spec.kappa[:, :, k]), hilbert.annihilation(modes, k), format="csr")
-        static = static + b + b.getH()
-    return _Assembled(sp.csr_matrix(static, dtype=complex), electronic)
+        add(np.eye(layout.electronic_dim), modes, modes, spec.nu @ levels)
+    for k, cutoff in enumerate(layout.mode_cutoffs):
+        # K_k (x) a_k, with <m|a_k|m + 1_k> = sqrt(m_k + 1), and its Hermitian conjugate
+        step = math.prod(layout.mode_cutoffs[k + 1 :])
+        lower = modes[levels[k] < cutoff - 1]
+        amp = np.sqrt(levels[k][lower] + 1.0)
+        kappa = _padded(layout, spec.kappa[:, :, k])
+        add(kappa, lower, lower + step, amp)
+        add(kappa.conj().T, lower + step, lower, amp)
+    static = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(layout.dim, layout.dim),
+    )
+    static.sum_duplicates()
+    static.eliminate_zeros()
+    return _Assembled(static, electronic)
 
 
 def _thermal_mixture(layout: SpaceLayout, nbar: float):

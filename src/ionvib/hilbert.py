@@ -10,12 +10,11 @@ Conventions used throughout the workbench:
 
 Operators are plain scipy CSR matrices on the layout they are asked for and
 states are plain numpy vectors or density matrices; ``QuantumState`` only adds
-validation for states handed in from outside.  The backends build every
-ladder, number and Pauli operator here, on one of three layouts: the full
-qubit (x) mode space, the mode-only space ``SpaceLayout(0, cutoffs)`` that the
-exact solver krons with an electronic matrix, or a pulse's own factors
-``SpaceLayout(len(qubits), (cutoff,))`` in the noisy emulator.  Product states
-come from :func:`product_state`.
+validation for states handed in from outside.  The noisy emulator builds its
+ladder, number and Pauli operators here, on a pulse's own factors
+``SpaceLayout(len(qubits), (cutoff,))`` or an idle mode's
+``SpaceLayout(0, (cutoff,))``; the tests also build them on the full
+qubit (x) mode space.  Product states come from :func:`product_state`.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -628,7 +628,8 @@ def pulse_factors(pulse: NativePulse, layout):
     """An op's own tensor axes, the diagonal of its phase conjugation D, and its cutoff.
 
     The axes are the op's qubits in ``pulse.qubits`` order, then its mode;
-    the cutoff is 0 for ops without a mode.
+    the cutoff is 0 for ops without a mode.  D is the outer product of the
+    per-factor phases, raveled in that order.
     """
     axes = list(pulse.qubits)
     phases = [np.array([1.0, np.exp(-1j * phi)]) for phi in pulse.phis]
@@ -637,14 +638,15 @@ def pulse_factors(pulse: NativePulse, layout):
         cutoff = layout.mode_cutoffs[pulse.mode]
         axes.append(layout.qubit_count + pulse.mode)
         phases.append(np.exp(-1j * pulse.phi_m * np.arange(cutoff)))
-    return axes, reduce(np.kron, phases), cutoff
+    d = phases[0]
+    for p in phases[1:]:
+        d = np.multiply.outer(d, p).ravel()
+    return axes, d, cutoff
 
 
-def apply_pulse(state: np.ndarray, pulse: NativePulse, layout, unitaries: dict) -> np.ndarray:
-    """``U = exp(-i angle G)`` of one pulse applied on its own tensor factors.
+def apply_pulse(psi: np.ndarray, pulse: NativePulse, layout, unitaries: dict) -> np.ndarray:
+    """``U psi`` for ``U = exp(-i angle G)`` of one pulse, applied on its own tensor factors.
 
-    A vector ``psi`` becomes ``U psi``; a density matrix ``rho`` becomes
-    ``U rho U^dag`` (U on the ket axes, then U* on the bra axes).
     U = D U0 D^dag as in the module docstring; ``unitaries`` caches the
     zero-phase U0 by (kind, angle, cutoff) and belongs to one schedule walk.
     """
@@ -654,20 +656,12 @@ def apply_pulse(state: np.ndarray, pulse: NativePulse, layout, unitaries: dict) 
     if u0 is None:
         u0 = unitaries[key] = expm(-1j * pulse.angle * base_generator(pulse.kind, cutoff))
     u = d[:, None] * u0 * d.conj()
-    factors = layout.factors()
-    if state.ndim == 1:
-        return _on_axes(state.reshape(factors), u, axes).reshape(-1)
-    bra = [len(factors) + a for a in axes]
-    t = _on_axes(state.reshape(factors * 2), u, axes)
-    return _on_axes(t, u.conj(), bra).reshape(state.shape)
-
-
-def _on_axes(t: np.ndarray, u: np.ndarray, axes: list) -> np.ndarray:
-    """Contract the square matrix ``u`` into the tensor ``t`` over ``axes``."""
-    dims = [t.shape[a] for a in axes]
-    n = len(axes)
-    out = np.tensordot(u.reshape(dims * 2), t, axes=(list(range(n, 2 * n)), axes))
-    return np.moveaxis(out, list(range(n)), axes)
+    # bring the op's axes to the front, contract, and move them back
+    t = psi.reshape(layout.factors())
+    rest = [a for a in range(t.ndim) if a not in axes]
+    moved = t.transpose(axes + rest)
+    out = np.dot(u, moved.reshape(len(u), -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(axes + rest)).reshape(-1)
 
 
 def hardware_layout(schedule: PulseSchedule, cutoffs) -> hb.SpaceLayout:

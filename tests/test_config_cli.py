@@ -633,22 +633,6 @@ def test_exact_sidecar_records_matvecs(tmp_path):
     assert "matvecs" not in out.read_text()
 
 
-def test_interaction_frame_runs_the_lab_solver(tmp_path):
-    # both frames give the same populations, so the key picks no solver
-    outs = {}
-    for frame in ("lab", "interaction"):
-        ini = tmp_path / f"{frame}.ini"
-        ini.write_text(f"[model]\npreset = toy\n[exact]\nframe = {frame}\ncutoffs = 6 6\n")
-        outs[frame] = tmp_path / f"{frame}.csv"
-        args = ["run", "--config", str(ini), "--backend", "exact", "--grid-points", "8"]
-        assert main([*args, "--output", str(outs[frame])]) == 0
-    assert outs["interaction"].read_bytes() == outs["lab"].read_bytes()
-    sidecar = configparser.ConfigParser()
-    sidecar.read(str(outs["interaction"]) + ".meta.ini")
-    assert sidecar["exact"]["frame"] == "interaction"
-    assert int(sidecar["meta"]["matvecs"]) > 0
-
-
 def test_ehrenfest_sidecar_records_integrator(tmp_path):
     out = tmp_path / "e.csv"
     args = ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "4", "--grid-points", "5"]
@@ -662,19 +646,23 @@ def test_ehrenfest_sidecar_records_integrator(tmp_path):
 
 #: settings earlier versions read; a config that still carries them runs as without them
 REMOVED_KEYS = {
+    "exact": "frame = interaction\n",
     "ehrenfest": "sampling = wigner_thermal\n",
     "ion": "check = false\n",
     "hardware": "mode_frequency_bands_mhz = 1.8:1.98 2.45:2.58\n",
 }
+#: the removed key each backend's own section carries
+REMOVED_KEY_OF = {"exact": ("exact", "frame"), "ehrenfest": ("ehrenfest", "sampling"), "ion-noisy": ("ion", "check")}
 
 
-@pytest.mark.parametrize("backend", ["ehrenfest", "ion-noisy"])
+@pytest.mark.parametrize("backend", sorted(REMOVED_KEY_OF))
 def test_removed_keys_are_carried_and_ignored(tmp_path, backend):
     outs = {}
     for name, removed in (("plain", {}), ("removed", REMOVED_KEYS)):
         ini = tmp_path / f"{name}.ini"
         ini.write_text(
-            "[model]\npreset = toy\n[ehrenfest]\ntrajectories = 4\n" + removed.get("ehrenfest", "")
+            "[model]\npreset = toy\n[exact]\ncutoffs = 6 6\n" + removed.get("exact", "")
+            + "[ehrenfest]\ntrajectories = 4\n" + removed.get("ehrenfest", "")
             + "[ion]\ntrotter_steps = 4\ncutoffs = 4 4\nruns_per_point = 10\n" + removed.get("ion", "")
             + "[hardware]\nheating_rate_quanta_per_s = 5.0\n" + removed.get("hardware", "")
         )
@@ -684,7 +672,7 @@ def test_removed_keys_are_carried_and_ignored(tmp_path, backend):
     assert outs["removed"].read_bytes() == outs["plain"].read_bytes()
     sidecar = cfg.load_run_sections(str(outs["removed"]) + ".meta.ini")
     assert sidecar["hardware"]["mode_frequency_bands_mhz"] == "1.8:1.98 2.45:2.58"
-    section, key = ("ehrenfest", "sampling") if backend == "ehrenfest" else ("ion", "check")
+    section, key = REMOVED_KEY_OF[backend]
     assert key in sidecar[section]
 
 
@@ -696,6 +684,41 @@ def test_ion_nbar_zero_runs_as_without_the_flag(tmp_path, backend):
         assert main([*ION_RUN, "--backend", backend, *extra, "--output", str(outs[name])]) == 0
     assert outs["zero"].read_bytes() == outs["none"].read_bytes()
 
+
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ion_noisy_sidecar_records_blas_threads_for_replay(tmp_path, threads):
+    # fresh processes, since OpenBLAS reads its thread count once, when it loads;
+    # the replay is byte-identical under the thread settings the sidecar records
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out, replay = tmp_path / "o.csv", tmp_path / "replay.csv"
+    for args in (
+        [*ION_RUN, "--backend", "ion-noisy", "--runs", "10", "--output", str(out)],
+        ["run", "--config", str(out) + ".meta.ini", "--output", str(replay)],
+    ):
+        subprocess.run([sys.executable, "-m", "ionvib.cli", *args], env=env, check=True, capture_output=True, timeout=120)
+    sidecar = configparser.ConfigParser()
+    sidecar.read(str(out) + ".meta.ini")
+    assert sidecar["meta"]["blas_threads"].startswith(f"OPENBLAS_NUM_THREADS={threads} OMP_NUM_THREADS={threads};")
+    assert replay.read_bytes() == out.read_bytes()
+
+@pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])
+@pytest.mark.parametrize("cutoffs,warns", [("8,6", False), ("3,3", True)])
+def test_ion_leakage_past_eps_cut_warns(tmp_path, capsys, backend, cutoffs, warns):
+    out = tmp_path / "o.csv"
+    args = ["run", "--preset", "toy", "--modes", "2", "--lambda-over-delta", "1", "--steps", "120"]
+    assert main([*args, "--grid-points", "4", "--cutoffs", cutoffs, "--backend", backend, "--output", str(out)]) == 0
+    leakage = read_csv(out).leakage.max()
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert (leakage > 1e-4) == warns
+    if warns:
+        assert len(warnings) == 1
+        assert f"max_leakage {leakage:.3g}" in warnings[0] and "eps_cut 0.0001" in warnings[0]
+        assert "certified on the exact state" in warnings[0]
+    else:
+        assert warnings == []
 
 @pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])
 def test_ion_sidecar_records_max_leakage(tmp_path, backend):

@@ -424,13 +424,55 @@ def test_sparse_fallback_matches_dense_path(monkeypatch):
             rho = lindblad_step(rho, op, channels, hw, layout, cache)
         return rho
 
+    def local_blocks(cache):
+        return [b for key, value in cache.items() if key[0] == "channel" for b in value[1]]
+
     dense_cache, sparse_cache = {}, {}
     dense = run(dense_cache)
     monkeypatch.setattr(emulator, "DENSE_BYTES", 0)
     sparse = run(sparse_cache)
-    assert not any(sp.issparse(v) for v in dense_cache.values())
-    assert all(sp.issparse(v) for v in sparse_cache.values())
+    assert not any(sp.issparse(b) for b in local_blocks(dense_cache))
+    assert local_blocks(sparse_cache) and all(sp.issparse(b) for b in local_blocks(sparse_cache))
     assert np.abs(sparse - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["toy", "vaet", "onehot", "onehot-physical"])
+def test_lindblad_step_returns_exactly_hermitian_rho(name):
+    sch, cutoffs = _factored_schedules()[name]
+    hw = factored_hardware(sch.hardware)
+    layout = hb.SpaceLayout(sch.qubit_count, cutoffs)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    cache = {}
+    for op in sch.ops:
+        rho = lindblad_step(rho, op, NoiseChannels(), hw, layout, cache)
+        assert np.array_equal(rho, rho.conj().T), op
+
+
+@pytest.mark.parametrize("name", ["onehot", "onehot-physical"])
+def test_emulate_matches_full_space_oracle(name):
+    # "onehot" carries virtual carrier and ms ops; "onehot-physical" runs them
+    # as pulses, during which every mode is idle
+    sch, cutoffs = _factored_schedules()[name]
+    sch = dataclasses.replace(sch, hardware=factored_hardware(sch.hardware))
+    layout = hb.SpaceLayout(sch.qubit_count, cutoffs)
+    channels = NoiseChannels()
+    grid = list(range(sch.steps + 1))
+
+    def oracle(rho, op):
+        if op.virtual:
+            u = expm(-1j * op.angle * full_space_generator(op, layout).toarray())
+            return u @ rho @ u.conj().T
+        lio = _full_space_liouvillian(op, channels, sch.hardware, layout)
+        return (expm(op.duration_us * lio) @ rho.reshape(-1)).reshape(rho.shape)
+
+    psi = pulses.hardware_initial_vector(sch, layout)
+    ref = pulses.walk_schedule(sch, layout, np.outer(psi, psi.conj()), grid, oracle)
+    got = emulate(sch, channels, cutoffs, grid)
+    assert np.abs(got.populations - ref.populations).max() <= 1e-12
+    assert np.abs(got.leakage - ref.leakage).max() <= 1e-12
 
 
 @pytest.mark.parametrize("grid", [[0, 8, 4], [0, 50], [-3, 0]], ids=["decreasing", "past-end", "negative"])

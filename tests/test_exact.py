@@ -194,6 +194,45 @@ def _static_specs():
     }
 
 
+def _kron_hamiltonian(spec, layout):
+    """Oracle: the static H as kron chains through ``hilbert``'s embedded ladder operators."""
+    pad = lambda m: np.pad(m, (0, layout.electronic_dim - len(m)))  # noqa: E731
+    modes = hb.SpaceLayout(0, layout.mode_cutoffs)
+    if spec.is_time_dependent():
+        static = sp.csr_matrix((layout.dim, layout.dim), dtype=complex)
+    else:
+        static = sp.kron(pad(spec.electronic_matrix(0.0)), sp.identity(modes.dim), format="csr")
+    if spec.mode_count:
+        levels = np.indices(layout.mode_cutoffs).reshape(spec.mode_count, -1)
+        static = static + sp.diags(np.tile(spec.nu @ levels, layout.electronic_dim), format="csr")
+    for k in range(spec.mode_count):
+        b = sp.kron(pad(spec.kappa[:, :, k]), hb.annihilation(modes, k), format="csr")
+        static = static + b + b.getH()
+    static = sp.csr_matrix(static, dtype=complex)
+    static.eliminate_zeros()
+    return static
+
+
+def _assembly_specs():
+    cases = {f"toy-N{n}": (model.build_toy_model(n, 5.0), (5, 4, 3, 3, 2)[:n]) for n in range(1, 6)}
+    cases.update({name: _static_specs()[name] for name in ("ci", "vaet", "plet")})
+    cases["driven"] = _frame_specs()["driven"]
+    cases["plet-driven"] = (_plet(model.Envelope("gaussian", amplitude=1.0, center_fs=80.0, width_fs=30.0)), ())
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_assembly_specs()))
+def test_hamiltonian_parts_matches_kron_assembly(name):
+    # the same CSR arrays, bit for bit, as the kron-chain construction
+    spec, cutoffs = _assembly_specs()[name]
+    layout = exact.layout_for(spec, cutoffs)
+    got = exact.hamiltonian_parts(spec, layout).static
+    ref = _kron_hamiltonian(spec, layout)
+    assert got.has_canonical_format and ref.has_canonical_format
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
 class TestChebyshev:
     @pytest.mark.parametrize("name", ["toy", "ci", "vaet", "plet"])
     def test_matches_dense_exponential(self, name):

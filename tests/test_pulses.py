@@ -510,7 +510,12 @@ class TestConjugationProperties:
         beta, phi_c, phi0 = pulses._conjugation_ops(n)
         qubit = hb.SpaceLayout(1, ())
         carrier = pulses.NativePulse(0, "carrier", (0,), None, (phi_c,), 0.0, beta, 0.0, 0.0, True, "virt")
-        got = pulses.apply_pulse(sigma_phi(qubit, 0, phi0).toarray(), carrier, qubit, {})
+
+        def unitary_on_columns(m):
+            return np.column_stack([pulses.apply_pulse(col, carrier, qubit, {}) for col in m.T])
+
+        # U sigma U^dag as (U (U sigma)^dag)^dag
+        got = unitary_on_columns(unitary_on_columns(sigma_phi(qubit, 0, phi0).toarray()).conj().T).conj().T
         x_p = np.array([[0, 1], [1, 0]], dtype=complex)
         y_p = np.array([[0, -1j], [1j, 0]])
         z_p = np.diag([1.0, -1.0]).astype(complex)
