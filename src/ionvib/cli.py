@@ -218,7 +218,8 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
 
     grid_steps = _grid_steps(steps, len(times))
     # the exact contract the cutoffs are searched under, and the leakage bound the ion run is held to
-    req = exact.PropagationRequest(spec=spec, times_fs=times)
+    eps_cut = cfg.parse_value(run_cfg.section("exact"), "eps_cut")
+    req = exact.PropagationRequest(spec=spec, times_fs=times, eps_cut=eps_cut)
     cutoffs = _parse_cutoffs(ion)
     if cutoffs is None:
         searched = {}
@@ -401,8 +402,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "sweep":
-        import os
-
         lambdas = cfg.parse_value(vars(args), "sweep_lambdas", cfg.floats)
         modes = cfg.parse_value(vars(args), "sweep_modes", cfg.ints)
         base_sections = _sections_from_flags(args)

@@ -344,9 +344,10 @@ def resolve_run_config(sections: dict) -> RunConfig:
     for name in ("model", "modes", "drive", "hardware"):
         if name in sections:
             out[name] = dict(sections[name])
-    if backend == "exact":
+    if backend in ("exact", "ion-ideal", "ion-noisy"):
+        # the ion backends' cutoff search and leakage warning use its eps_cut
         out["exact"] = {**EXACT_DEFAULTS, **sections.get("exact", {})}
-    elif backend == "ehrenfest":
+    if backend == "ehrenfest":
         out["ehrenfest"] = {**EHRENFEST_DEFAULTS, **sections.get("ehrenfest", {})}
     elif backend in ("ion-ideal", "ion-noisy", "compile"):
         out["ion"] = {**ION_DEFAULTS, **sections.get("ion", {})}

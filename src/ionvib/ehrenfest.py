@@ -79,8 +79,6 @@ class EnsembleConfig:
             raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise InvalidModelError(f"tol must be finite and > 0, got {self.tol}", key="tol")
-        if self.initial_state < 0:
-            raise InvalidModelError(f"initial state must be >= 0, got {self.initial_state}", key="initial_state")
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:

@@ -1,6 +1,7 @@
 """Numerically exact propagation of an LVCM on a truncated product space.
 
-Strategy:
+Strategy (``_run`` picks the branch from what :func:`hamiltonian_parts`
+returns, and reads each state as the branch yields it):
 
 - time-independent Hamiltonians (no drive, or a constant-envelope
   rotating-wave drive) go through Chebyshev series for exp(-i H t)
@@ -15,8 +16,9 @@ Strategy:
   because each term also costs one accumulation row per open grid point.
   The Bessel coefficients J_k(r dt) are computed once per distinct step
   length and cut below 1e-17; a window's rows are Chebyshev products of
-  them, since exp(-iXa) exp(-iXb) = exp(-iX(a+b)).  A window of W grid
-  points takes W + ``CHUNK`` + 2 state vectors of extra memory.  There is no
+  them, since exp(-iXa) exp(-iXb) = exp(-iX(a+b)).  States stream out a
+  window at a time: making a window of W grid points holds its W accumulator
+  rows, the previous window's, and ``CHUNK`` + 2 work vectors.  There is no
   error control to set;
 - time-dependent Hamiltonians (Gaussian or non-RWA drive) go through an
   adaptive high-order Runge-Kutta integrator (DOP853) with local error
@@ -33,7 +35,10 @@ by index arithmetic, without building a_k.
 Thermal initial mode states (one nbar shared by every mode) are expanded
 into a weighted mixture of Fock product states (the thermal state is
 diagonal), each propagated as a pure state; this is exact and far cheaper
-than density propagation at the nbar values of interest (~0.06).
+than density propagation at the nbar values of interest (~0.06).  The
+mixture is the outer product of the per-mode weights, cut at
+``WEIGHT_FLOOR``; every component of a time-independent run shares one
+Chebyshev series cache.
 
 The truncation knob is per-mode Fock cutoffs.  ``converge_cutoffs`` grows them
 until (a) bumping any single cutoff by 2 moves no population value by more
@@ -44,7 +49,6 @@ the search's certifying run instead of running it again.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -121,26 +125,6 @@ class PropagationRequest:
             raise InvalidModelError(f"nbar must be finite and >= 0, got {self.nbar}", key="nbar")
 
 
-class _Assembled:
-    """Static sparse matrix, and the electronic matrix E(t) on the electronic
-    factor when the model's own is time-dependent (else ``None``, and E is in
-    ``static``)."""
-
-    def __init__(self, static, electronic=None):
-        self.static = static
-        self.electronic = electronic
-        self._chebyshev = None
-
-    def is_static(self) -> bool:
-        return self.electronic is None
-
-    def chebyshev(self) -> _Chebyshev:
-        """The static part's propagator, built once and shared by every state of a run."""
-        if self._chebyshev is None:
-            self._chebyshev = _Chebyshev(self.static)
-        return self._chebyshev
-
-
 #: series coefficients below this magnitude are dropped
 CHEBYSHEV_CUT = 1e-17
 #: most terms one window's series may take.  A window is the longest run of
@@ -179,7 +163,7 @@ class _Chebyshev:
     The series of one step length is cached per distinct dt in ``_series``;
     the Chebyshev products for the later grid points of a window, and each
     window's (W, K) coefficient block, are cached by step sequence.  The W
-    accumulators of a window become its returned states.  When r = 0, H is c
+    accumulators of a window are its yielded states.  When r = 0, H is c
     times the identity and each step is the phase alone.
     """
 
@@ -243,19 +227,20 @@ class _Chebyshev:
             self._blocks[key] = (coef, ends, phases)
         return self._blocks[key]
 
-    def evolve(self, psi0: np.ndarray, times: np.ndarray) -> list:
-        """The state at each grid time (first entry is psi0 itself)."""
+    def evolve(self, psi0: np.ndarray, times: np.ndarray):
+        """Yield the state at each grid time (first psi0 itself), each window's as it is made."""
         steps = np.diff(times).tolist()
-        out = [psi0]
+        yield psi0
+        psi, done = psi0, 1
         if self._step is None:
             for dt in steps:
-                out.append(np.exp(-1j * self.center * dt) * out[-1])
-            return out
+                psi = np.exp(-1j * self.center * dt) * psi
+                yield psi
+            return
         buf = np.empty((CHUNK + 2, len(psi0)), dtype=complex)
         flat = buf.view(float)
-        while len(out) < len(times):
-            coef, ends, phases = self._block(steps, len(out) - 1)
-            psi = out[-1]
+        while done < len(times):
+            coef, ends, phases = self._block(steps, done - 1)
             acc = np.zeros((len(coef), len(psi)), dtype=complex)
             acc_flat = acc.view(float)
             terms = coef.shape[1]
@@ -273,8 +258,8 @@ class _Chebyshev:
                 buf[:2] = buf[n : n + 2]
             self.matvecs += terms - 1
             acc *= phases[:, None]
-            out.extend(acc)
-        return out
+            yield from acc
+            psi, done = acc[-1], done + len(acc)
 
 
 def _padded(layout: SpaceLayout, matrix: np.ndarray) -> np.ndarray:
@@ -282,8 +267,10 @@ def _padded(layout: SpaceLayout, matrix: np.ndarray) -> np.ndarray:
     return np.pad(matrix, (0, layout.electronic_dim - len(matrix)))
 
 
-def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> _Assembled:
-    """The static sparse H and, for a time-dependent model, the electronic E(t).
+def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> tuple:
+    """The static sparse H, and the electronic E(t) on the electronic factor
+    for a time-dependent model (``None`` for a time-independent one, whose E is
+    in H).
 
     H is built by index arithmetic on the (electronic state, mode levels)
     basis: E (x) I for a time-independent model, sum_k nu_k n_k on the
@@ -328,38 +315,29 @@ def hamiltonian_parts(spec: LvcmSpec, layout: SpaceLayout) -> _Assembled:
     )
     static.sum_duplicates()
     static.eliminate_zeros()
-    return _Assembled(static, electronic)
+    return static, electronic
 
 
 def _thermal_mixture(layout: SpaceLayout, nbar: float):
-    """Fock product states and weights representing the thermal initial condition.
-
-    Every mode starts at the same occupation ``nbar``.
+    """Fock levels (one row per product state, the last mode's level varying
+    fastest) and weights of the thermal initial condition, every mode at
+    occupation ``nbar``.
     """
-    per_mode = [hilbert.thermal_weights(d, nbar) for d in layout.mode_cutoffs]
-    combos = []
-    for levels in itertools.product(*[range(len(w)) for w in per_mode]):
-        w = math.prod(per_mode[k][n] for k, n in enumerate(levels))
-        if w >= WEIGHT_FLOOR:
-            combos.append((levels, w))
-    total = sum(w for _, w in combos)
-    return [(levels, w / total) for levels, w in combos]
+    weights = np.ones(())
+    for d in layout.mode_cutoffs:
+        weights = np.multiply.outer(weights, hilbert.thermal_weights(d, nbar))
+    kept = weights >= WEIGHT_FLOOR
+    weights = weights[kept]
+    # summed one by one in product order: numpy's pairwise sum would move the last bits
+    return np.argwhere(kept), weights / sum(weights.tolist())
 
 
-def _populations_from_vector(psi: np.ndarray, layout: SpaceLayout, m: int) -> np.ndarray:
-    rest = layout.dim // layout.electronic_dim
-    probs = np.abs(psi.reshape(layout.electronic_dim, rest)) ** 2
-    return probs.sum(axis=1)[:m]
-
-
-def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_int: float):
-    """Yield the state at each grid time (first entry is psi0 itself)."""
-    if parts.is_static():
-        return parts.chebyshev().evolve(psi0, times)
+def _dop853(static, electronic, psi0: np.ndarray, times: np.ndarray, eps_int: float):
+    """The state at each grid time under H = static + E(t) on the electronic factor."""
 
     def rhs(t, y):
-        e = parts.electronic(t)
-        return -1j * (parts.static @ y + (e @ y.reshape(len(e), -1)).ravel())
+        e = electronic(t)
+        return -1j * (static @ y + (e @ y.reshape(len(e), -1)).ravel())
 
     from scipy.integrate import solve_ivp  # only a time-dependent drive needs it
 
@@ -374,33 +352,41 @@ def _propagate_pure(parts: _Assembled, psi0: np.ndarray, times: np.ndarray, eps_
     )
     if not sol.success:
         raise ConvergenceError(f"integrator failed: {sol.message}")
-    return [sol.y[:, i] for i in range(len(times))]
+    return sol.y.T
 
 
 def _run(request: PropagationRequest, cutoffs):
     """Propagate the thermal mixture at ``cutoffs``.
 
-    Returns the mixture populations (T x M), its top-level leakage summed over
-    modes at each grid time, per mode the largest top-level population of
-    the mixture at any grid time, and the Chebyshev matvecs spent (0 on the
-    DOP853 branch).  Both leakage figures come from one T x N accumulator, so
-    they always describe the same state.
+    A time-independent model runs every mixture component through one
+    :class:`_Chebyshev`, so they share its series cache; a time-dependent one
+    runs each through DOP853.  Returns the mixture populations (T x M), its
+    top-level leakage summed over modes at each grid time, per mode the
+    largest top-level population of the mixture at any grid time, and the
+    Chebyshev matvecs spent (0 on the DOP853 branch).  Both leakage figures
+    come from one T x N accumulator, so they always describe the same state.
     """
     spec = request.spec
     layout = layout_for(spec, cutoffs)
-    parts = hamiltonian_parts(spec, layout)
+    static, electronic = hamiltonian_parts(spec, layout)
+    chebyshev = _Chebyshev(static) if electronic is None else None
     elec = np.zeros(layout.electronic_dim, dtype=complex)
     elec[request.initial_state] = 1.0
     m = spec.state_count
     times = request.times_fs
     pops = np.zeros((len(times), m))
     top = np.zeros((len(times), layout.mode_count))
-    for levels, weight in _thermal_mixture(layout, request.nbar):
+    for levels, weight in zip(*_thermal_mixture(layout, request.nbar)):
         psi0 = hilbert.product_state(layout, elec, levels)
-        for idx, psi in enumerate(_propagate_pure(parts, psi0, times, request.eps_int)):
-            pops[idx] += weight * _populations_from_vector(psi, layout, m)
+        if chebyshev is None:
+            states = _dop853(static, electronic, psi0, times, request.eps_int)
+        else:
+            states = chebyshev.evolve(psi0, times)
+        for idx, psi in enumerate(states):
+            probs = np.abs(psi.reshape(layout.electronic_dim, -1)) ** 2
+            pops[idx] += weight * probs.sum(axis=1)[:m]
             top[idx] += weight * hilbert.top_level_populations(layout, psi)
-    matvecs = parts.chebyshev().matvecs if parts.is_static() else 0
+    matvecs = 0 if chebyshev is None else chebyshev.matvecs
     return pops, top.sum(axis=1), top.max(axis=0), matvecs
 
 

@@ -454,6 +454,8 @@ ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--c
         (None, [*ION_RUN, "--backend", "ion-ideal", "--nbar", "0.5"], "nbar"),
         (None, [*ION_RUN, "--backend", "ion-noisy", "--nbar", "0.5"], "nbar"),
         ("[model]\npreset = toy\n[ion]\nnbar = nan\n", [*ION_RUN, "--config", "{ini}", "--backend", "ion-ideal"], "nbar"),
+        # an ion run's cutoff search and leakage warning read [exact] eps_cut
+        ("[exact]\neps_cut = nan\n", [*ION_RUN, "--config", "{ini}", "--backend", "ion-noisy"], "eps_cut"),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
@@ -471,7 +473,7 @@ ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--c
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
         "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
         "estimate-lambda-nan", "estimate-modes-0", "sweep-lambda-nan",
-        "ion-ideal-nbar-flag", "ion-noisy-nbar-flag", "ion-nbar-nan",
+        "ion-ideal-nbar-flag", "ion-noisy-nbar-flag", "ion-nbar-nan", "ion-noisy-eps-cut-nan",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):
@@ -719,6 +721,24 @@ def test_ion_leakage_past_eps_cut_warns(tmp_path, capsys, backend, cutoffs, warn
         assert "certified on the exact state" in warnings[0]
     else:
         assert warnings == []
+
+def test_ion_search_uses_exact_eps_cut(tmp_path, capsys):
+    args = ["run", "--preset", "toy", "--modes", "2", "--backend", "ion-ideal", "--steps", "40", "--grid-points", "4"]
+    ini = tmp_path / "tight.ini"
+    ini.write_text("[exact]\neps_cut = 1e-6\n")
+    outs = {name: tmp_path / f"{name}.csv" for name in ("default", "tight", "replay")}
+    assert main([*args, "--output", str(outs["default"])]) == 0
+    capsys.readouterr()
+    assert main([*args, "--config", str(ini), "--output", str(outs["tight"])]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "exceeds [exact] eps_cut 1e-06:" in warnings[0]
+    sidecars = {name: cfg.load_run_sections(str(outs[name]) + ".meta.ini") for name in ("default", "tight")}
+    assert sidecars["tight"]["exact"]["eps_cut"] == "1e-6"
+    assert sidecars["tight"]["exact"]["cutoffs"] == ""  # the searched cutoffs are the ion run's
+    assert sidecars["tight"]["ion"]["cutoffs"] != sidecars["default"]["ion"]["cutoffs"]
+    assert main(["run", "--config", str(outs["tight"]) + ".meta.ini", "--output", str(outs["replay"])]) == 0
+    assert outs["replay"].read_bytes() == outs["tight"].read_bytes()
+
 
 @pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])
 def test_ion_sidecar_records_max_leakage(tmp_path, backend):

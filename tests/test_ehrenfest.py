@@ -182,8 +182,7 @@ def test_intersection_model_runs_with_conserved_energy():
         ({"tol": float("inf")}, "tol"),
         ({"nbar": -1.0}, "nbar"),
         ({"nbar": float("nan")}, "nbar"),
-        ({"nbar": -1.0}, "nbar"),
-        ({"initial_state": -1}, "initial_state"),
+        ({"nbar": float("inf")}, "nbar"),
         ({"trajectories": 0}, "trajectories"),
     ],
 )
@@ -195,9 +194,10 @@ def test_ensemble_config_rejects(kwargs, key):
 
 def test_initial_state_past_last_state_rejected():
     spec = model.build_toy_model(2, 1.0)
-    with pytest.raises(InvalidModelError, match="initial state") as info:
-        ensemble_average(spec, EnsembleConfig(trajectories=2, initial_state=2), np.linspace(0, 10, 3))
-    assert info.value.key == "initial_state"
+    for initial_state in (2, -1):
+        with pytest.raises(InvalidModelError, match="initial state") as info:
+            ensemble_average(spec, EnsembleConfig(trajectories=2, initial_state=initial_state), np.linspace(0, 10, 3))
+        assert info.value.key == "initial_state"
 
 
 def _standalone(spec, state, times, tol):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -26,14 +27,14 @@ class TestAssembly:
     def test_hermitian(self):
         spec = model.build_toy_model(2, 5.0)
         layout = exact.layout_for(spec, (4, 4))
-        h = exact.hamiltonian_parts(spec, layout).static
+        h = exact.hamiltonian_parts(spec, layout)[0]
         assert abs(h - h.getH()).max() <= 1e-12
 
     def test_decoupled_block_structure(self):
         # kappa = 0: H = H_el (x) I + I (x) sum nu_k n_k exactly
         spec = model.build_toy_model(2, 0.0)
         layout = exact.layout_for(spec, (3, 3))
-        h = exact.hamiltonian_parts(spec, layout).static.toarray()
+        h = exact.hamiltonian_parts(spec, layout)[0].toarray()
         h_el = np.array([[0, DELTA_W / 2], [DELTA_W / 2, 0]])
         expected = np.kron(h_el, np.eye(9)).astype(complex)
         expected += spec.nu[0] * hb.number_operator(layout, 0).toarray()
@@ -76,19 +77,19 @@ class TestPropagation:
     def test_norm_conservation(self):
         spec = model.build_toy_model(2, 5.0)
         layout = exact.layout_for(spec, (12, 10))
-        parts = exact.hamiltonian_parts(spec, layout)
+        h, _ = exact.hamiltonian_parts(spec, layout)
         psi0 = hb.basis_vector(layout, 0).data
-        states = exact._propagate_pure(parts, psi0, exact.default_time_grid(400.0, 10), 1e-8)
+        states = list(exact._Chebyshev(h).evolve(psi0, exact.default_time_grid(400.0, 10)))
         norms = [np.linalg.norm(s) for s in states]
         assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-8
 
     def test_energy_conservation(self):
         spec = model.build_toy_model(2, 5.0)
         layout = exact.layout_for(spec, (14, 12))
-        parts = exact.hamiltonian_parts(spec, layout)
+        h, _ = exact.hamiltonian_parts(spec, layout)
         psi0 = hb.basis_vector(layout, 0).data
-        states = exact._propagate_pure(parts, psi0, exact.default_time_grid(400.0, 10), 1e-8)
-        energies = np.array([np.vdot(psi, parts.static @ psi) for psi in states])
+        states = list(exact._Chebyshev(h).evolve(psi0, exact.default_time_grid(400.0, 10)))
+        energies = np.array([np.vdot(psi, h @ psi) for psi in states])
         h_scale = abs(energies[0]) + 1.0
         assert np.max(np.abs(energies - energies[0])) / h_scale < 1e-8
 
@@ -123,6 +124,24 @@ class TestPropagation:
         )
         dev = np.max(np.abs(cold.populations - warm.populations))
         assert 0.0 < dev < 0.05
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.06, 0.5, 3.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_thermal_mixture_matches_product_loop(self, n, nbar):
+        # oracle: a Python loop over every Fock product; same levels, same order, same weight bits
+        layout = hb.SpaceLayout(1, (12, 10, 8)[:n])
+        per_mode = [hb.thermal_weights(d, nbar) for d in layout.mode_cutoffs]
+        combos = []
+        for levels in itertools.product(*[range(len(w)) for w in per_mode]):
+            w = math.prod(per_mode[k][i] for k, i in enumerate(levels))
+            if w >= exact.WEIGHT_FLOOR:
+                combos.append((levels, w))
+        total = sum(w for _, w in combos)
+        levels, weights = exact._thermal_mixture(layout, nbar)
+        assert [tuple(row) for row in levels.tolist()] == [c for c, _ in combos]
+        assert weights.tolist() == [w / total for _, w in combos]
+        if nbar < 0.1 and n:
+            assert len(combos) < math.prod(layout.mode_cutoffs)  # the floor drops products
 
     def test_grid_validation(self):
         spec = model.build_toy_model(2, 1.0)
@@ -226,7 +245,7 @@ def test_hamiltonian_parts_matches_kron_assembly(name):
     # the same CSR arrays, bit for bit, as the kron-chain construction
     spec, cutoffs = _assembly_specs()[name]
     layout = exact.layout_for(spec, cutoffs)
-    got = exact.hamiltonian_parts(spec, layout).static
+    got, _ = exact.hamiltonian_parts(spec, layout)
     ref = _kron_hamiltonian(spec, layout)
     assert got.has_canonical_format and ref.has_canonical_format
     assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
@@ -238,16 +257,16 @@ class TestChebyshev:
     def test_matches_dense_exponential(self, name):
         spec, cutoffs = _static_specs()[name]
         layout = exact.layout_for(spec, cutoffs)
-        parts = exact.hamiltonian_parts(spec, layout)
-        assert parts.is_static()
-        h = parts.static.toarray()
+        static, electronic = exact.hamiltonian_parts(spec, layout)
+        assert electronic is None
+        h = static.toarray()
         if name == "plet":
             assert np.abs(h.imag).max() > 0
         rng = np.random.default_rng(3)
         psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         psi0 /= np.linalg.norm(psi0)
         times = np.array([0.0, 0.7, 5.0, 5.25, 18.0, 60.0, 61.0, 120.0])
-        states = exact._propagate_pure(parts, psi0, times, 1e-8)
+        states = list(exact._Chebyshev(static).evolve(psi0, times))
         ref = psi0
         for i, dt in enumerate(np.diff(times)):
             ref = expm(-1j * dt * h) @ ref
@@ -255,7 +274,7 @@ class TestChebyshev:
 
     def test_gershgorin_interval_holds_the_spectrum(self):
         spec, cutoffs = _static_specs()["toy"]
-        h = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs)).static
+        h, _ = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs))
         prop = exact._Chebyshev(h)
         eigs = np.linalg.eigvalsh(h.toarray())
         assert prop.center - prop.half_width <= eigs[0] and eigs[-1] <= prop.center + prop.half_width
@@ -263,34 +282,35 @@ class TestChebyshev:
     @pytest.mark.parametrize("level", [0.0, -0.37])
     def test_zero_width_spectrum_is_a_pure_phase(self, level):
         h = sp.csr_matrix(level * sp.identity(6, dtype=complex))
-        parts = exact._Assembled(h)
+        prop = exact._Chebyshev(h)
         psi0 = np.arange(1.0, 7.0) + 1j
-        states = exact._propagate_pure(parts, psi0, np.array([0.0, 2.5, 7.0]), 1e-8)
-        assert parts.chebyshev().half_width == 0.0
+        states = list(prop.evolve(psi0, np.array([0.0, 2.5, 7.0])))
+        assert prop.half_width == 0.0
         assert np.array_equal(states[1], np.exp(-2.5j * level) * psi0)
         assert np.array_equal(states[2], np.exp(-4.5j * level) * states[1])
 
     def test_coefficients_computed_once_per_step_length(self):
         spec, cutoffs = _static_specs()["toy"]
-        parts = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs))
+        prop = exact._Chebyshev(exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs))[0])
         psi0 = hb.basis_vector(exact.layout_for(spec, cutoffs), 0).data
-        exact._propagate_pure(parts, psi0, np.array([0.0, 10.0, 20.0, 30.0, 45.0]), 1e-8)
-        exact._propagate_pure(parts, psi0, np.array([0.0, 10.0]), 1e-8)
-        assert sorted(parts.chebyshev()._series) == [10.0, 15.0]
+        list(prop.evolve(psi0, np.array([0.0, 10.0, 20.0, 30.0, 45.0])))
+        list(prop.evolve(psi0, np.array([0.0, 10.0])))
+        assert sorted(prop._series) == [10.0, 15.0]
 
     # plet's spectrum is narrow (r * 400 fs ~ 22), so its grid spans 20 ps to cross windows
     @pytest.mark.parametrize("name,span_fs", [("toy", 400.0), ("plet", 20000.0)])
     def test_windows_match_dense_exponential(self, name, span_fs):
         spec, cutoffs = _static_specs()[name]
         layout = exact.layout_for(spec, cutoffs)
-        parts = exact.hamiltonian_parts(spec, layout)
-        h = parts.static.toarray()
+        static, _ = exact.hamiltonian_parts(spec, layout)
+        prop = exact._Chebyshev(static)
+        h = static.toarray()
         rng = np.random.default_rng(11)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span_fs, 49))])
         psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         psi0 /= np.linalg.norm(psi0)
-        states = exact._propagate_pure(parts, psi0, times, 1e-8)
-        assert len(parts.chebyshev()._blocks) > 1
+        states = list(prop.evolve(psi0, times))
+        assert len(prop._blocks) > 1
         ref = psi0
         for i, dt in enumerate(np.diff(times)):
             ref = expm(-1j * dt * h) @ ref
@@ -298,7 +318,7 @@ class TestChebyshev:
 
     def test_block_rows_are_the_series_of_the_summed_steps(self):
         spec, cutoffs = _static_specs()["toy"]
-        prop = exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs)).chebyshev()
+        prop = exact._Chebyshev(exact.hamiltonian_parts(spec, exact.layout_for(spec, cutoffs))[0])
         steps = [10.0, 7.5, 10.0, 3.25]
         coef, ends, phases = prop._block(steps, 0)
         assert len(coef) == len(steps)
@@ -308,6 +328,19 @@ class TestChebyshev:
             assert np.max(np.abs(coef[j] - series)) <= 1e-14
             assert abs(series[ends[j]:]).max(initial=0.0) < exact.CHEBYSHEV_CUT
             assert phases[j] == pytest.approx(np.exp(-1j * prop.center * tau), abs=1e-14)
+
+    def test_window_states_stream(self):
+        # the first window's states come out before any later window is computed
+        spec, cutoffs = _static_specs()["toy"]
+        layout = exact.layout_for(spec, cutoffs)
+        prop = exact._Chebyshev(exact.hamiltonian_parts(spec, layout)[0])
+        times = exact.default_time_grid(400.0, 40)
+        states = iter(prop.evolve(hb.basis_vector(layout, 0).data, times))
+        coef, _, _ = prop._block(np.diff(times).tolist(), 0)
+        assert 1 < len(coef) < len(times) - 1
+        for _ in range(1 + len(coef)):
+            next(states)
+        assert prop.matvecs == coef.shape[1] - 1
 
     def test_windowed_run_needs_fewer_matvecs(self):
         # one series per grid step needed 39 steps x 80 terms here (3120 terms, 3081 matvecs)
