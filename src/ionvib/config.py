@@ -157,6 +157,8 @@ def _sized(section: dict, key: str, kind, count: int, default=None) -> list:
 
 def _spec_from_model(model: dict, sections) -> LvcmSpec:
     preset = model.get("preset", "custom").strip().lower()
+    if preset in ("toy", "ci", "vaet") and "drive" in sections:
+        raise ConfigError(f"the {preset} preset takes no [drive] section", key="drive")
     if preset == "toy":
         return build_toy_model(
             parse_value(model, "modes", int, "2"), parse_value(model, "lambda_over_delta", float, "1.0")

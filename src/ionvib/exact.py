@@ -18,11 +18,16 @@ returns, and reads each state as the branch yields it):
   length and cut below 1e-17; a window's rows are Chebyshev products of
   them, since exp(-iXa) exp(-iXb) = exp(-iX(a+b)).  States stream out a
   window at a time: making a window of W grid points holds its W accumulator
-  rows, the previous window's, and ``CHUNK`` + 2 work vectors.  There is no
-  error control to set;
+  rows, the previous window's, and ``CHUNK`` + 2 work vectors.  Each term is
+  one call of scipy's CSR kernel ``csr_matvec`` into a zeroed row plus
+  U_{k-2}: bit for bit what ``A @ x`` gives, without its Python dispatch
+  (2.1 against 4.9 us a term at dim 32, 7.6 against 13.2 us at dim 720).
+  The kernel is private scipy API, pinned to ``@`` by tests/test_exact.py.
+  There is no error control to set;
 - time-dependent Hamiltonians (Gaussian or non-RWA drive) go through an
   adaptive high-order Runge-Kutta integrator (DOP853) with local error
-  control set by ``eps_int``.  ``eps_int`` governs only this branch.
+  control set by ``eps_int``.  ``eps_int`` governs only this branch.  Its
+  right-hand side applies H through the same kernel call.
 
 The electronic Hamiltonian, drive and rotating-wave convention included, is
 ``LvcmSpec.electronic_matrix``; this module never reads the drive itself.  A
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.chebyshev import chebmul
+from scipy.sparse._sparsetools import csr_matvec  # private API, pinned by tests/test_exact.py
 
 from . import hilbert
 from .errors import ConvergenceError, DimensionLimitError, InvalidModelError
@@ -112,8 +118,8 @@ class PropagationRequest:
 
     def __post_init__(self):
         t = np.asarray(self.times_fs, dtype=float)
-        if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise InvalidModelError("time grid must be strictly increasing and start at 0")
+        if t.ndim != 1 or not len(t) or t[0] != 0.0 or np.any(np.diff(t) <= 0):
+            raise InvalidModelError("time grid must be non-empty, strictly increasing and start at 0")
         object.__setattr__(self, "times_fs", t)
         self.spec.check_state(self.initial_state)
         # NaN fails every comparison, so each check is written to reject it
@@ -237,8 +243,9 @@ class _Chebyshev:
                 psi = np.exp(-1j * self.center * dt) * psi
                 yield psi
             return
-        buf = np.empty((CHUNK + 2, len(psi0)), dtype=complex)
-        flat = buf.view(float)
+        buf = np.zeros((CHUNK + 2, len(psi0)), dtype=complex)
+        flat, rows = buf.view(float), list(buf)
+        csr = (*self._step.shape, self._step.indptr, self._step.indices, self._step.data)
         while done < len(times):
             coef, ends, phases = self._block(steps, done - 1)
             acc = np.zeros((len(coef), len(psi)), dtype=complex)
@@ -246,16 +253,19 @@ class _Chebyshev:
             terms = coef.shape[1]
             buf[2] = psi
             if terms > 1:
-                buf[3] = 0.5 * (self._step @ psi)
+                csr_matvec(*csr, rows[2], rows[3])
+                rows[3] *= 0.5
             filled = min(terms, 2)  # U_0 and U_1 start the first chunk
             for k in range(0, terms, CHUNK):
                 n = min(CHUNK, terms - k)
                 for r in range(2 + filled, 2 + n):
-                    np.add(self._step @ buf[r - 1], buf[r - 2], out=buf[r])
+                    csr_matvec(*csr, rows[r - 1], rows[r])
+                    rows[r] += rows[r - 2]
                 filled = 0
                 first = int(np.argmax(ends > k))  # earlier rows' series have ended
                 acc_flat[first:] += coef[first:, k : k + n] @ flat[2 : 2 + n]
                 buf[:2] = buf[n : n + 2]
+                buf[2:] = 0  # the kernel adds into its destination row
             self.matvecs += terms - 1
             acc *= phases[:, None]
             yield from acc
@@ -337,7 +347,9 @@ def _dop853(static, electronic, psi0: np.ndarray, times: np.ndarray, eps_int: fl
 
     def rhs(t, y):
         e = electronic(t)
-        return -1j * (static @ y + (e @ y.reshape(len(e), -1)).ravel())
+        hy = np.zeros(len(y), dtype=complex)
+        csr_matvec(*static.shape, static.indptr, static.indices, static.data, y, hy)
+        return -1j * (hy + (e @ y.reshape(len(e), -1)).ravel())
 
     from scipy.integrate import solve_ivp  # only a time-dependent drive needs it
 

@@ -313,6 +313,11 @@ TOY_EXACT_RUN = ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4
 NOISY_HW_RUN = ["run", "--preset", "toy", "--backend", "ion-noisy", "--steps", "4", "--cutoffs", "4,4"]
 NOISY_HW_RUN += ["--grid-points", "4", "--hardware", "{ini}"]
 ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--cutoffs", "6,6"]
+# only custom models and the plet preset read [drive]; the other presets refuse one
+GAUSSIAN_DRIVE = (
+    "[drive]\ntransitions = 0:1\ndipoles = 1.0,0.0\npolarization = 1.0 0.0\ncarrier_ev = 0.3\n"
+    "envelope = gaussian\namplitude = 0.2\ncenter_fs = 80.0\nwidth_fs = 30.0\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -456,6 +461,10 @@ ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--c
         ("[model]\npreset = toy\n[ion]\nnbar = nan\n", [*ION_RUN, "--config", "{ini}", "--backend", "ion-ideal"], "nbar"),
         # an ion run's cutoff search and leakage warning read [exact] eps_cut
         ("[exact]\neps_cut = nan\n", [*ION_RUN, "--config", "{ini}", "--backend", "ion-noisy"], "eps_cut"),
+        *(
+            (GAUSSIAN_DRIVE, ["run", "--config", "{ini}", "--preset", p, "--backend", "exact"], "drive")
+            for p in ("toy", "ci", "vaet")
+        ),
     ],
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
@@ -474,6 +483,7 @@ ION_RUN = ["run", "--preset", "toy", "--steps", "40", "--grid-points", "4", "--c
         "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
         "estimate-lambda-nan", "estimate-modes-0", "sweep-lambda-nan",
         "ion-ideal-nbar-flag", "ion-noisy-nbar-flag", "ion-nbar-nan", "ion-noisy-eps-cut-nan",
+        "toy-drive", "ci-drive", "vaet-drive",
     ],
 )
 def test_bad_value_exits_2_naming_key(tmp_path, capsys, ini, args, key):

@@ -149,6 +149,8 @@ class TestPropagation:
             exact.PropagationRequest(spec=spec, times_fs=np.array([1.0, 2.0]))
         with pytest.raises(InvalidModelError):
             exact.PropagationRequest(spec=spec, times_fs=np.array([0.0, 2.0, 2.0]))
+        with pytest.raises(InvalidModelError):
+            exact.PropagationRequest(spec=spec, times_fs=np.array([]))
 
 
 def _plet(envelope, rwa=True):
@@ -358,6 +360,49 @@ class TestChebyshev:
         assert exact.propagate(fixed).metadata["matvecs"] == runs[cutoffs][3] > 0
         driven, driven_cutoffs = _frame_specs()["driven"]
         assert exact.propagate(replace(fixed, spec=driven, cutoffs=driven_cutoffs)).metadata["matvecs"] == 0
+
+
+def _matmul_matvec(m, n, indptr, indices, data, x, out):
+    """Reference for scipy's CSR kernel as exact.py calls it: ``out``, zero on entry, becomes A @ x."""
+    assert not out.any()
+    out[...] = sp.csr_matrix((data, indices, indptr), shape=(m, n)) @ x
+
+
+class TestCsrKernel:
+    # exact.py calls scipy's private ``csr_matvec``; these pin it to what ``A @ x`` gives, bit for bit
+
+    @pytest.mark.parametrize("case", ["toy", "plet", "toy-int64"])
+    def test_recurrence_matches_matmul(self, monkeypatch, case):
+        spec, cutoffs = _static_specs()[case.removesuffix("-int64")]
+        layout = exact.layout_for(spec, cutoffs)
+        static, _ = exact.hamiltonian_parts(spec, layout)
+        assert static.data.imag.any() == (case == "plet")  # toy's H is real, plet's complex
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        times = exact.default_time_grid(20000.0 if case == "plet" else 400.0, 40)
+
+        def states():
+            prop = exact._Chebyshev(static)
+            if case == "toy-int64":  # scipy keeps int32 indices at these sizes unless told otherwise
+                prop._step.indptr = prop._step.indptr.astype(np.int64)
+                prop._step.indices = prop._step.indices.astype(np.int64)
+            out = np.array(list(prop.evolve(psi0, times)))
+            assert len(prop._blocks) > 1 and prop.matvecs > exact.CHUNK
+            return out
+
+        got = states()
+        monkeypatch.setattr(exact, "csr_matvec", _matmul_matvec)
+        assert np.array_equal(got, states())
+
+    def test_dop853_matches_matmul(self, monkeypatch):
+        spec, cutoffs = _frame_specs()["driven"]
+        layout = exact.layout_for(spec, cutoffs)
+        static, electronic = exact.hamiltonian_parts(spec, layout)
+        psi0 = hb.basis_vector(layout, 0).data.astype(complex)
+        times = exact.default_time_grid(200.0, 10)
+        got = exact._dop853(static, electronic, psi0, times, 1e-8)
+        monkeypatch.setattr(exact, "csr_matvec", _matmul_matvec)
+        assert np.array_equal(got, exact._dop853(static, electronic, psi0, times, 1e-8))
 
 
 class TestCutoffSearch:
