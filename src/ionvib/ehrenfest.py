@@ -29,6 +29,13 @@ composition is fixed by trajectory index and a rerun is bit-identical.
 scipy raises any rtol below 100 eps (about 2.2e-14) to that floor with a
 warning, e.g. tol = 1e-13 at R = 100.
 
+The equations are quadratic in a trajectory's y = (c, q, p), so the batch's
+right-hand side is two small GEMMs, dy = y A + (conj(y) (x) y) B, with
+constant A (-i delta, +-nu) and B (the sqrt(2) kappa terms), then Im dq =
+Im dp = 0; a time-dependent model adds -i H_el(t) c per call instead of
+keeping delta in A.  This relies on Im q = Im p = 0, which holds exactly: y0
+has it, and DOP853 only adds multiples of derivatives that have it.
+
 At lambda/Delta of about 5 and above single trajectories are chaotic: a
 trajectory at tol 1e-10 and the same one at 1e-12 can differ by O(1) in
 population.  A result then depends on R and on tol, and only ensemble
@@ -97,16 +104,9 @@ def sample_initial(config: EnsembleConfig, spec: LvcmSpec, rng: np.random.Genera
     return TrajectoryState(c=c, q=q, p=p)
 
 
-def _kappa_matrix(spec: LvcmSpec) -> np.ndarray:
-    """sqrt(2) kappa as an (M*M, N) matrix: row i*M + j holds sqrt(2) kappa_ij."""
-    m = spec.state_count
-    return SQRT2 * spec.kappa.reshape(m * m, spec.mode_count)
-
-
 def mean_field_energy(spec: LvcmSpec, state: TrajectoryState, t_fs: float = 0.0) -> float:
     """Conserved mean-field energy (rad/fs) for time-independent models."""
-    m = spec.state_count
-    h = spec.electronic_matrix(t_fs) + (_kappa_matrix(spec) @ state.q).reshape(m, m)
+    h = spec.electronic_matrix(t_fs) + spec.kappa @ (SQRT2 * state.q)
     e_el = float(np.real(np.vdot(state.c, h @ state.c)))
     e_cl = float(0.5 * np.sum(spec.nu * (state.q**2 + state.p**2)))
     return e_el + e_cl
@@ -119,24 +119,30 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     system that one DOP853 call advances with rtol = atol = tol / sqrt(R).
     """
     r, m, n = len(states), spec.state_count, spec.mode_count
-    width = m + 2 * n
+    if any(s.c.shape != (m,) or s.q.shape != (n,) or s.p.shape != (n,) for s in states):
+        raise InvalidModelError(f"a trajectory state needs {m} amplitudes c and {n} coordinates each in q and p")
+    w = m + 2 * n
     y0 = np.concatenate([np.concatenate([s.c, s.q, s.p]) for s in states])
-    force_rows = _kappa_matrix(spec)
-    coupling = -1j * force_rows.T  # q @ coupling = -i sqrt(2) sum_k q_k kappa_k
-    nu, neg_nu = spec.nu, -spec.nu
-    static = None if spec.is_time_dependent() else -1j * spec.electronic_matrix(0.0)
+    driven = spec.is_time_dependent()
+    lin = np.zeros((w, w), dtype=complex)
+    if not driven:
+        lin[:m, :m] = (-1j * spec.electronic_matrix(0.0)).T
+    k = np.arange(n)
+    lin[m + n + k, m + k] = spec.nu
+    lin[m + k, m + n + k] = -spec.nu
+    quad = np.zeros((w, w, w), dtype=complex)
+    quad[m : m + n, :m, :m] = -1j * SQRT2 * spec.kappa.transpose(2, 1, 0)  # conj(q_k) c_j -> dc_i
+    quad[:m, :m, m + n :] = -SQRT2 * spec.kappa  # conj(c_i) c_j -> dp_k
+    quad = quad.reshape(w * w, w)
 
     def rhs(t, y):
-        y = y.reshape(r, width)
-        c = y[:, :m]
-        gen = -1j * spec.electronic_matrix(t) if static is None else static
-        if not n:  # the electronic TDSE alone; skips the empty mode arithmetic
-            return (gen @ c[:, :, None]).ravel()
-        q = y[:, m : m + n].real
-        gen = gen + (q @ coupling).reshape(r, m, m)  # -i H_el(q) per trajectory
-        force = ((c.conj()[:, :, None] * c[:, None, :]).reshape(r, m * m) @ force_rows).real
-        dc = (gen @ c[:, :, None])[:, :, 0]
-        return np.concatenate([dc, nu * y[:, m + n :].real, neg_nu * q - force], axis=1).ravel()
+        y = y.reshape(r, w)
+        out = y @ lin
+        out += (y.conj()[:, :, None] * y[:, None, :]).reshape(r, w * w) @ quad
+        if driven:
+            out[:, :m] += y[:, :m] @ (-1j * spec.electronic_matrix(t)).T
+        out[:, m:].imag = 0.0
+        return out.ravel()
 
     from scipy.integrate import solve_ivp  # only Ehrenfest runs need it
 
@@ -152,7 +158,7 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     )
     if not sol.success:
         raise ConvergenceError(f"trajectory integration failed: {sol.message}")
-    c_t = sol.y.reshape(r, width, -1)[:, :m, :]
+    c_t = sol.y.reshape(r, w, -1)[:, :m, :]
     return np.abs(c_t.transpose(0, 2, 1)) ** 2, sol.nfev
 
 

@@ -15,6 +15,7 @@ from ionvib.ehrenfest import (
 )
 from ionvib.errors import InvalidModelError
 from ionvib.units import ev_to_rad_per_fs
+from test_exact import _frame_specs
 
 DELTA_W = ev_to_rad_per_fs(0.08679)
 
@@ -200,22 +201,31 @@ def test_initial_state_past_last_state_rejected():
         assert info.value.key == "initial_state"
 
 
-def _standalone(spec, state, times, tol):
-    """One trajectory through its own solve_ivp call, with the written-out mean-field RHS."""
+def _per_term_rhs(spec, r):
+    """The module docstring's equations, term by term, for r stacked trajectories."""
     m, n = spec.state_count, spec.mode_count
 
     def rhs(t, y):
-        c, q, p = y[:m], y[m : m + n].real, y[m + n :].real
-        h = spec.electronic_matrix(t) + np.tensordot(spec.kappa, np.sqrt(2) * q, axes=([2], [0]))
-        force = np.sqrt(2) * np.real(np.einsum("i,ijk,j->k", c.conj(), spec.kappa, c))
-        return np.concatenate(
-            [-1j * (h @ c), (spec.nu * p).astype(complex), (-spec.nu * q - force).astype(complex)]
-        )
+        y = y.reshape(r, m + 2 * n)
+        c, q, p = y[:, :m], y[:, m : m + n].real, y[:, m + n :].real
+        h = spec.electronic_matrix(t) + np.einsum("ijk,rk->rij", spec.kappa, np.sqrt(2) * q)
+        dc = -1j * np.einsum("rij,rj->ri", h, c)
+        force = np.sqrt(2) * np.real(np.einsum("ri,ijk,rj->rk", c.conj(), spec.kappa, c))
+        return np.concatenate([dc, spec.nu * p, -spec.nu * q - force], axis=1).ravel()
 
-    y0 = np.concatenate([state.c, state.q.astype(complex), state.p.astype(complex)])
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times, method="DOP853", rtol=tol, atol=tol)
+    return rhs
+
+
+def _per_term_batch(spec, states, times, tol):
+    """Populations (R, T, M) of one batch integrated with the per-term RHS and _integrate's settings."""
+    r, m = len(states), spec.state_count
+    y0 = np.concatenate([np.concatenate([s.c, s.q, s.p]) for s in states])
+    batch_tol = tol / np.sqrt(r)
+    sol = solve_ivp(
+        _per_term_rhs(spec, r), (times[0], times[-1]), y0, t_eval=times, method="DOP853", rtol=batch_tol, atol=batch_tol
+    )
     assert sol.success
-    return np.abs(sol.y[:m].T) ** 2
+    return np.abs(sol.y.reshape(r, -1, len(times))[:, :m].transpose(0, 2, 1)) ** 2
 
 
 def _batched_and_standalone(lam, tau_fs, points, trajectories, seed):
@@ -224,7 +234,7 @@ def _batched_and_standalone(lam, tau_fs, points, trajectories, seed):
     config = EnsembleConfig(trajectories=trajectories, seed=seed)
     states = [sample_initial(config, spec, trajectory_rng(seed, r)) for r in range(trajectories)]
     batched, _ = ehrenfest._integrate(spec, states, times, config.tol)
-    alone = np.stack([_standalone(spec, st, times, config.tol) for st in states])
+    alone = np.stack([_per_term_batch(spec, [st], times, config.tol)[0] for st in states])
     return batched, alone
 
 
@@ -260,3 +270,87 @@ def test_ensemble_is_one_solver_call(monkeypatch):
     tr = ensemble_average(spec, EnsembleConfig(trajectories=16, seed=1), np.linspace(0, 50, 4))
     assert calls == [1e-10 / 4]
     assert tr.metadata["rhs_evals"] > 0
+
+
+def _three_state_spec():
+    """M = 3, N = 2, with complex Hermitian kappa slices and a complex Hermitian delta."""
+    delta = np.array([[0.0, 0.02 + 0.01j, 0.0], [0.02 - 0.01j, 0.1, 0.015j], [0.0, -0.015j, 0.2]])
+    kappa = np.zeros((3, 3, 2), dtype=complex)
+    kappa[:, :, 0] = [[0.03, 0.01 - 0.02j, 0.0], [0.01 + 0.02j, -0.02, 0.005], [0.0, 0.005, 0.01]]
+    kappa[:, :, 1] = [[-0.01, 0.0, 0.02j], [0.0, 0.025, 0.01 + 0.01j], [-0.02j, 0.01 - 0.01j, -0.03]]
+    return model.LvcmSpec(delta, kappa, [0.1, 0.15])
+
+
+def _rhs_specs():
+    three = _three_state_spec()
+    drive = model.DriveSpec(
+        transitions=((0, 2),),
+        dipoles=((0.0, 1.0),),
+        polarization=(1.0, 1.0j),  # an imaginary coupling: H_el(t) is not real symmetric
+        carrier_rad_per_fs=0.2,
+        envelope=model.Envelope("gaussian", amplitude=0.05, center_fs=80.0, width_fs=30.0),
+        rotating_states=(2,),
+    )
+    return {
+        "toy": model.build_toy_model(2, 1.0),
+        "three-state": three,
+        "driven": _frame_specs()["driven"][0],
+        "three-state-driven": model.LvcmSpec(three.delta, three.kappa, three.nu, drive=drive),
+    }
+
+
+@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven"])
+def test_batch_matches_per_term_equations(name):
+    spec = _rhs_specs()[name]
+    assert name.endswith("driven") == spec.is_time_dependent()
+    assert not name.startswith("three-state") or np.any(spec.kappa.imag)
+    times = np.linspace(0.0, 200.0, 11)
+    config = EnsembleConfig(trajectories=8, seed=4)
+    states = [sample_initial(config, spec, trajectory_rng(4, r)) for r in range(8)]
+    got, _ = ehrenfest._integrate(spec, states, times, config.tol)
+    ref = _per_term_batch(spec, states, times, config.tol)
+    assert np.max(np.abs(got - ref)) <= 1e-9
+    assert np.max(np.abs(got[:, 0] - got[:, -1])) > 1e-2  # populations move
+
+
+def test_ensemble_matches_per_term_equations_in_stderr_units():
+    # chaotic at lambda = 5: compare the ensemble means in units of their standard error
+    spec = model.build_toy_model(2, 5.0)
+    times = np.linspace(0.0, 400.0, 40)
+    config = EnsembleConfig(trajectories=100, seed=7)
+    states = [sample_initial(config, spec, trajectory_rng(7, r)) for r in range(100)]
+    got, _ = ehrenfest._integrate(spec, states, times, config.tol)
+    ref = _per_term_batch(spec, states, times, config.tol)
+    scale = np.hypot(*(x.std(axis=0, ddof=1) / np.sqrt(len(x)) for x in (got, ref)))
+    gap = np.abs(got.mean(axis=0) - ref.mean(axis=0))
+    spread = scale > 1e-12
+    assert np.max(gap[~spread], initial=0.0) <= 1e-9
+    assert np.max(gap[spread] / scale[spread]) <= 3.0
+
+
+@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven"])
+def test_mode_coordinates_stay_exactly_real(name, monkeypatch):
+    # the quadratic form reads conj(q) as q and takes Re of the force by zeroing Im dq and Im dp
+    sols = []
+
+    def kept(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", kept)
+    spec = _rhs_specs()[name]
+    ensemble_average(spec, EnsembleConfig(trajectories=6, seed=2), np.linspace(0.0, 300.0, 13))
+    (sol,) = sols
+    y = sol.y.reshape(6, spec.state_count + 2 * spec.mode_count, -1)
+    assert np.all(y[:, spec.state_count :].imag == 0.0) and np.any(y[:, spec.state_count :].real)
+
+
+@pytest.mark.parametrize(
+    "c,q,p",
+    [([1.0, 0.0, 0.0], [0.1], [0.2, 0.3]), ([1.0, 0.0], [0.1], [0.2, 0.3])],
+    ids=["same-total-length", "short"],
+)
+def test_mis_sized_trajectory_state_rejected(c, q, p):
+    spec = model.build_toy_model(2, 1.0)
+    with pytest.raises(InvalidModelError, match="2 amplitudes c and 2 coordinates each in q and p"):
+        evolve_trajectory(spec, TrajectoryState(c=c, q=q, p=p), np.linspace(0.0, 10.0, 3))
