@@ -30,10 +30,10 @@ scipy raises any rtol below 100 eps (about 2.2e-14) to that floor with a
 warning, e.g. tol = 1e-13 at R = 100.
 
 The equations are quadratic in a trajectory's y = (c, q, p), so the batch's
-right-hand side is two small GEMMs, dy = y A + (conj(y) (x) y) B, with
+right-hand side is two small GEMMs, dy = y A + (conj(c, q) (x) c) B, with
 constant A (-i delta, +-nu) and B (the sqrt(2) kappa terms), then Im dq =
-Im dp = 0; a time-dependent model adds -i H_el(t) c per call instead of
-keeping delta in A.  This relies on Im q = Im p = 0, which holds exactly: y0
+Im dp = 0; a time-dependent model writes -i H_el(t) into A's c block on
+each call.  This relies on Im q = Im p = 0, which holds exactly: y0
 has it, and DOP853 only adds multiples of derivatives that have it.
 
 At lambda/Delta of about 5 and above single trajectories are chaotic: a
@@ -125,22 +125,21 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     y0 = np.concatenate([np.concatenate([s.c, s.q, s.p]) for s in states])
     driven = spec.is_time_dependent()
     lin = np.zeros((w, w), dtype=complex)
-    if not driven:
-        lin[:m, :m] = (-1j * spec.electronic_matrix(0.0)).T
+    lin[:m, :m] = (-1j * spec.electronic_matrix(0.0)).T  # a driven model rewrites it per call
     k = np.arange(n)
     lin[m + n + k, m + k] = spec.nu
     lin[m + k, m + n + k] = -spec.nu
-    quad = np.zeros((w, w, w), dtype=complex)
-    quad[m : m + n, :m, :m] = -1j * SQRT2 * spec.kappa.transpose(2, 1, 0)  # conj(q_k) c_j -> dc_i
-    quad[:m, :m, m + n :] = -SQRT2 * spec.kappa  # conj(c_i) c_j -> dp_k
-    quad = quad.reshape(w * w, w)
+    quad = np.zeros((m + n, m, w), dtype=complex)  # rows: conj((c, q)) (x) c, the only nonzero products
+    quad[m:, :, :m] = -1j * SQRT2 * spec.kappa.transpose(2, 1, 0)  # conj(q_k) c_j -> dc_i
+    quad[:m, :, m + n :] = -SQRT2 * spec.kappa  # conj(c_i) c_j -> dp_k
+    quad = quad.reshape((m + n) * m, w)
 
     def rhs(t, y):
         y = y.reshape(r, w)
-        out = y @ lin
-        out += (y.conj()[:, :, None] * y[:, None, :]).reshape(r, w * w) @ quad
         if driven:
-            out[:, :m] += y[:, :m] @ (-1j * spec.electronic_matrix(t)).T
+            lin[:m, :m] = (-1j * spec.electronic_matrix(t)).T
+        out = y @ lin
+        out += (y[:, : m + n].conj()[:, :, None] * y[:, None, :m]).reshape(r, (m + n) * m) @ quad
         out[:, m:].imag = 0.0
         return out.ravel()
 

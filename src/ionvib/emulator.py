@@ -192,20 +192,11 @@ def _propagator(lio: sp.csr_matrix, t_us: float, dense_bytes: int | None = None)
     graph.eliminate_zeros()
     _, labels = connected_components(graph, directed=False)
     order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
     limit = DENSE_BYTES if dense_bytes is None else dense_bytes
-    if 16 * np.sum(sizes**2) > limit:
+    if 16 * sum(b.size**2 for b in blocks) > limit:
         return np.arange(lio.shape[0]), [(t_us * lio).tocsr()]
-    # every block, row-major, in one flat buffer, filled in one pass over lio's entries
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    base = np.cumsum(sizes**2) - sizes**2
-    coo = lio.tocoo()
-    inside = labels[coo.row] == labels[coo.col]  # lio keeps explicit zeros that link components
-    row, col, label = coo.row[inside], coo.col[inside], labels[coo.row[inside]]
-    flat = np.zeros(np.sum(sizes**2), dtype=complex)
-    flat[base[label] + local[row] * sizes[label] + local[col]] += coo.data[inside]
-    return order, [expm(t_us * flat[o : o + s * s].reshape(s, s)) for o, s in zip(base, sizes)]
+    return order, [expm(t_us * lio[b][:, b].toarray()) for b in blocks]
 
 
 def _offsets(factors: list, axes: list) -> np.ndarray:
@@ -397,12 +388,10 @@ def _mode_channel(cutoff: int, t_us: float, rates: dict, cache: dict) -> sp.csr_
     if key not in cache:
         free = sp.csr_matrix((cutoff, cutoff), dtype=complex)
         order, blocks = _propagator(_liouvillian(free, _collapse_ops(0, cutoff, rates)), t_us, dense_bytes=math.inf)
-        parts = np.split(order, np.cumsum([len(b) for b in blocks])[:-1])
-        rows = np.concatenate([np.repeat(p, p.size) for p in parts])
-        cols = np.concatenate([np.tile(p, p.size) for p in parts])
-        data = np.concatenate([b.ravel() for b in blocks])
-        channel = sp.csr_matrix((data, (rows, cols)), shape=(cutoff**2, cutoff**2))
+        inverse = np.argsort(order)
+        channel = sp.block_diag(blocks, format="csr")[inverse][:, inverse]
         channel.eliminate_zeros()
+        channel.sort_indices()
         cache[key] = channel
     return cache[key]
 

@@ -296,10 +296,11 @@ def _rhs_specs():
         "three-state": three,
         "driven": _frame_specs()["driven"][0],
         "three-state-driven": model.LvcmSpec(three.delta, three.kappa, three.nu, drive=drive),
+        "modeless-driven": model.LvcmSpec(three.delta, np.zeros((3, 3, 0)), np.zeros(0), drive=drive),
     }
 
 
-@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven"])
+@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven", "modeless-driven"])
 def test_batch_matches_per_term_equations(name):
     spec = _rhs_specs()[name]
     assert name.endswith("driven") == spec.is_time_dependent()

@@ -484,46 +484,3 @@ def test_bad_grid_steps_rejected(grid):
         emulate(sch, NoiseChannels(), (6, 6), grid)
     # repeated steps and the last boundary are valid grid points
     assert compose_ideal(sch, (6, 6), [0, 6, 6, 12]).times_fs[-1] == 400.0
-
-
-def _per_component_propagator(lio, t_us):
-    """The propagator's blocks cut out of lio one connected component at a time, as a reference."""
-    from scipy.sparse.csgraph import connected_components
-
-    graph = abs(lio)
-    graph.eliminate_zeros()
-    _, labels = connected_components(graph, directed=False)
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    return order, [expm(t_us * lio[b][:, b].toarray()) for b in blocks]
-
-
-@pytest.mark.parametrize("kind", ["sdf", "carrier"])
-def test_channel_build_matches_per_component_reference(kind):
-    # a zero-angle carrier's lio stores explicit zeros between its components
-    sch = build_schedule(model.build_toy_model(2, 3.0), 400.0, 3)
-    sdf = next(op for op in sch.ops if op.kind == "sdf" and not op.virtual)
-    rates = channel_rates_per_us(NoiseChannels(), sch.hardware)
-    if kind == "sdf":
-        t_us, cutoff = sdf.duration_us, 8
-        h0 = (sdf.angle / t_us) * sp.csr_matrix(pulses.base_generator(kind, cutoff))
-        lio = emulator._liouvillian(h0, emulator._collapse_ops(1, cutoff, rates))
-    else:  # addressing the qubit for the sdf's duration: laser dephasing alone
-        t_us = sdf.duration_us
-        h0 = (0.0 / t_us) * sp.csr_matrix(pulses.base_generator(kind, 0))
-        lio = emulator._liouvillian(h0, emulator._collapse_ops(1, 0, rates))
-        assert lio.nnz > np.count_nonzero(lio.data)
-    order, blocks = emulator._propagator(lio, t_us)
-    ref_order, ref_blocks = _per_component_propagator(lio, t_us)
-    assert np.array_equal(order, ref_order) and len(blocks) == len(ref_blocks) > 1
-    assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
-
-    free = emulator._liouvillian(sp.csr_matrix((8, 8), dtype=complex), emulator._collapse_ops(0, 8, rates))
-    order, blocks = _per_component_propagator(free, sdf.duration_us)
-    inverse = np.argsort(order)
-    ref = sp.block_diag(blocks, format="csr")[inverse][:, inverse]
-    ref.eliminate_zeros()
-    ref.sort_indices()
-    channel = emulator._mode_channel(8, sdf.duration_us, rates, {})
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(channel, name), getattr(ref, name)), name
