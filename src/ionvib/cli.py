@@ -79,16 +79,6 @@ PRESET_SECTIONS = {
 }
 
 
-def _grid_steps(steps: int, points: int):
-    if steps % points:
-        raise ConfigError(
-            f"trotter_steps ({steps}) must be a multiple of grid_points ({points})",
-            key="trotter_steps",
-        )
-    stride = steps // points
-    return [g * stride for g in range(points)]
-
-
 def _parse_cutoffs(section: dict):
     return tuple(cfg.parse_value(section, "cutoffs", cfg.ints)) or None
 
@@ -216,10 +206,10 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         diagnostics["n_ions"] = schedule.n_ions
         return diagnostics
 
-    grid_steps = _grid_steps(steps, len(times))
+    grid_steps = pulses.step_grid(steps, len(times))
     # the exact contract the cutoffs are searched under, and the leakage bound the ion run is held to
     eps_cut = cfg.parse_value(run_cfg.section("exact"), "eps_cut")
-    req = exact.PropagationRequest(spec=spec, times_fs=times, eps_cut=eps_cut)
+    req = exact.PropagationRequest(spec=spec, times_fs=times, initial_state=initial, eps_cut=eps_cut)
     cutoffs = _parse_cutoffs(ion)
     if cutoffs is None:
         searched = {}

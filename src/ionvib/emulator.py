@@ -443,9 +443,9 @@ def emulate(
     return trace
 
 
-def shot_noise_sigma(p: float, runs: int) -> float:
-    """Binomial sampling uncertainty sqrt(P (1-P) / R)."""
-    return math.sqrt(max(p * (1.0 - p), 0.0) / runs)
+def shot_noise_sigma(p, runs: int):
+    """Binomial sampling uncertainty sqrt(P (1-P) / R), elementwise for an array ``p``."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / runs)
 
 
 def sample_populations(populations: np.ndarray, policy: MeasurementPolicy):
@@ -456,17 +456,11 @@ def sample_populations(populations: np.ndarray, policy: MeasurementPolicy):
     """
     populations = np.asarray(populations, dtype=float)
     sampled = np.zeros_like(populations)
-    sigma = np.zeros_like(populations)
     r = policy.runs_per_point
-    for t in range(populations.shape[0]):
+    for t, row in enumerate(populations):
         rng = np.random.default_rng(np.random.SeedSequence([int(policy.seed), t]))
-        for i in range(populations.shape[1]):
-            p = min(max(populations[t, i], 0.0), 1.0)
-            hits = rng.binomial(r, p)
-            p_hat = hits / r
-            sampled[t, i] = p_hat
-            sigma[t, i] = shot_noise_sigma(p_hat, r)
-    return sampled, sigma
+        sampled[t] = rng.binomial(r, np.clip(row, 0.0, 1.0)) / r
+    return sampled, shot_noise_sigma(sampled, r)
 
 
 def attach_shot_noise(trace: PopulationTrace, policy: MeasurementPolicy) -> PopulationTrace:

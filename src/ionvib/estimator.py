@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidModelError
 from .exact import default_time_grid
 from .model import build_toy_model
-from .pulses import HardwareParams, build_schedule
+from .pulses import HardwareParams, build_schedule, running_times_us, step_grid
 from .units import US_PER_S
 
 
@@ -38,11 +38,7 @@ class ExperimentPlan:
             if getattr(self, key) < 1:
                 raise InvalidModelError(f"must be at least 1, got {getattr(self, key)}", key=key)
         default_time_grid(self.tau_fs, self.time_points)  # checks tau_fs
-        if self.trotter_steps % self.time_points:
-            raise InvalidModelError(
-                f"must be a multiple of time_points ({self.time_points}), got {self.trotter_steps}",
-                key="trotter_steps",
-            )
+        step_grid(self.trotter_steps, self.time_points)  # checks trotter_steps against the grid
 
 
 @dataclass(frozen=True)
@@ -65,16 +61,7 @@ def _operation_times_us(spec, plan: ExperimentPlan) -> list:
     # only the phases move with the step's midpoint time.  A drive or a
     # one-hot model would break this, and the estimator builds neither.
     one_step = build_schedule(spec, plan.tau_fs / steps, 1, plan.hardware)
-    durations = [float(p.duration_us) for p in one_step.ops]
-    # added one by one in op order, as the schedule adds them, so every
-    # boundary is the same float the full schedule gives
-    times = [0.0]
-    total = 0.0
-    for _ in range(steps):
-        for d in durations:
-            total += d
-        times.append(total)
-    return times
+    return running_times_us([[p.duration_us for p in one_step.ops]] * steps)
 
 
 def experimental_time(plan: ExperimentPlan) -> list:

@@ -150,7 +150,7 @@ class HardwareParams:
 
 @dataclass(frozen=True)
 class TrotterTerm:
-    """One factor of the first-order product formula, annotated with its angle."""
+    """One factor of the first-order product formula."""
 
     step: int
     kind: str  # energy | dcoup | delta | ocoup | drive
@@ -160,10 +160,6 @@ class TrotterTerm:
     mode: int | None = None
     coeff: complex = 0.0  # rad/fs (delta / ocoup / drive)
     diag: tuple = ()  # rad/fs per state (energy / dcoup)
-
-    @property
-    def angle(self) -> float:
-        return abs(self.coeff) * self.dt_fs
 
 
 @dataclass(frozen=True)
@@ -508,6 +504,37 @@ class _Lowerer:
         return ops
 
 
+def running_times_us(step_durations) -> list:
+    """Operation time (us) at each step boundary 0 .. S, given each step's op durations.
+
+    Durations are added one at a time, in step order and within a step in op
+    order, so every boundary is the same float whichever caller sums the
+    same durations.
+    """
+    times = [0.0]
+    total = 0.0
+    for durations in step_durations:
+        for d in durations:
+            total += d
+        times.append(total)
+    return times
+
+
+def step_grid(steps: int, points: int) -> list:
+    """Trotter-step indices 0, S/P, 2S/P, ... of ``points`` equally spaced grid times.
+
+    A grid time must fall on a step boundary: ``steps`` not a multiple of
+    ``points`` raises :class:`~ionvib.errors.InvalidModelError` naming
+    ``trotter_steps``.
+    """
+    if steps % points:
+        raise InvalidModelError(
+            f"must be a multiple of the grid's point count ({points}), got {steps}", key="trotter_steps"
+        )
+    stride = steps // points
+    return [g * stride for g in range(points)]
+
+
 @dataclass
 class PulseSchedule:
     """Ordered native ops plus everything the emulator needs to run them."""
@@ -530,19 +557,11 @@ class PulseSchedule:
         return self.mapping.qubit_count
 
     def operation_times_us(self) -> list:
-        """Operation time (us) of the ops before each step boundary 0 .. steps.
-
-        Durations are added one by one in op order (ops are in step order),
-        so every prefix is the same float whichever boundary asks for it.
-        """
-        times = [0.0]
-        total = 0.0
+        """Operation time (us) of the ops before each step boundary 0 .. steps."""
+        step_durations = [[] for _ in range(self.steps)]
         for p in self.ops:
-            while len(times) <= p.step:
-                times.append(total)
-            total += p.duration_us
-        times.extend([total] * (self.steps + 1 - len(times)))
-        return times
+            step_durations[p.step].append(p.duration_us)
+        return running_times_us(step_durations)
 
     def operation_time_us(self, upto_step: int | None = None) -> float:
         times = self.operation_times_us()

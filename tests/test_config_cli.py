@@ -172,16 +172,6 @@ class TestCli:
         )
         assert rc == 4
 
-    def test_grid_misaligned_with_steps(self, tmp_path):
-        rc = main(
-            [
-                "run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "30",
-                "--grid-points", "40", "--cutoffs", "4,4",
-                "--output", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 2
-
 
 class TestReproducibility:
     @pytest.mark.parametrize(
@@ -389,6 +379,7 @@ GAUSSIAN_DRIVE = (
         (None, ["compile", "--preset", "toy", "--steps", "0"], "trotter_steps"),
         (None, ["estimate", "--lambdas", "1", "--modes-list", "2", "--steps", "-40"], "trotter_steps"),
         (None, ["estimate", "--lambdas", "1", "--modes-list", "2", "--steps", "601"], "trotter_steps"),
+        (None, ["run", "--preset", "toy", "--backend", "ion-ideal", "--steps", "30", "--cutoffs", "4,4"], "trotter_steps"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--tau-fs", "0"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "exact", "--cutoffs", "4,4", "--tau-fs", "-100"], "tau_fs"),
         (None, ["run", "--preset", "toy", "--backend", "ehrenfest", "--trajectories", "0"], "trajectories"),
@@ -472,6 +463,7 @@ GAUSSIAN_DRIVE = (
         "hardware-rabi-one-value", "hardware-slope-no-chain", "model-delta-count", "model-kappa-count",
         "model-nu-count", "model-transition-one-state", "estimate-runs-0", "ion-runs-neg",
         "ion-steps-0", "ion-steps-neg", "compile-steps-0", "estimate-steps-neg", "estimate-steps-not-multiple",
+        "ion-steps-not-multiple",
         "tau-0", "tau-neg", "trajectories-0", "ehrenfest-tol-0", "ehrenfest-tol-nan", "ehrenfest-tol-neg",
         "ehrenfest-nbar-neg", "ehrenfest-nbar-nan", "ehrenfest-nbar-flag-neg",
         "exact-cutoff-1", "ion-cutoff-1", "exact-eps-cut-nan", "exact-eps-cut-inf", "exact-eps-cut-0",
@@ -748,6 +740,21 @@ def test_ion_search_uses_exact_eps_cut(tmp_path, capsys):
     assert sidecars["tight"]["ion"]["cutoffs"] != sidecars["default"]["ion"]["cutoffs"]
     assert main(["run", "--config", str(outs["tight"]) + ".meta.ini", "--output", str(outs["replay"])]) == 0
     assert outs["replay"].read_bytes() == outs["tight"].read_bytes()
+
+
+def test_ion_search_starts_from_initial_state(tmp_path):
+    # vaet certifies (10, 8, 6) from state 0 and (8, 6, 6) from state 1
+    ini = tmp_path / "start.ini"
+    ini.write_text("[run]\ninitial_state = 1\n")
+    cutoffs = {}
+    for backend in ("exact", "ion-ideal"):
+        out = tmp_path / f"{backend}.csv"
+        args = ["run", "--config", str(ini), "--preset", "vaet", "--backend", backend, "--steps", "40"]
+        assert main([*args, "--output", str(out)]) == 0
+        sidecar = configparser.ConfigParser()
+        sidecar.read(str(out) + ".meta.ini")
+        cutoffs[backend] = sidecar["meta"]["cutoffs"]
+    assert cutoffs["ion-ideal"] == cutoffs["exact"] == "(8, 6, 6)"
 
 
 @pytest.mark.parametrize("backend", ["ion-ideal", "ion-noisy"])

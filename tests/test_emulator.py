@@ -245,6 +245,19 @@ class TestShotNoise:
         b = sample_populations(pops, MeasurementPolicy(runs_per_point=100, seed=9))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_row_draws_equal_one_draw_per_point(self):
+        # reference: one scalar binomial per point, clipped, on the (seed, t) stream
+        pops = np.random.default_rng(3).uniform(-0.05, 1.05, size=(150, 3))
+        runs, seed = 100, 11
+        ref = np.zeros_like(pops)
+        for t in range(pops.shape[0]):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+            for i in range(pops.shape[1]):
+                ref[t, i] = rng.binomial(runs, min(max(pops[t, i], 0.0), 1.0)) / runs
+        sampled, sigma = sample_populations(pops, MeasurementPolicy(runs_per_point=runs, seed=seed))
+        assert np.array_equal(sampled, ref)
+        assert np.array_equal(sigma, [[shot_noise_sigma(float(p), runs) for p in row] for row in ref])
+
     def test_attached_columns_round_trip(self, tmp_path):
         trace = PopulationTrace(
             times_fs=np.array([0.0, 10.0]),

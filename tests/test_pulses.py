@@ -61,7 +61,7 @@ class TestTrotterize:
         spec = model.build_toy_model(2, 1.0)
         terms = trotterize(spec, 400.0, 100)
         d = next(t for t in terms if t.kind == "delta")
-        assert d.angle == pytest.approx(abs(spec.delta[0, 1]) * 4.0)
+        assert abs(d.coeff) * d.dt_fs == pytest.approx(abs(spec.delta[0, 1]) * 4.0)
 
     def test_canonical_order_within_step(self):
         spec = onehot_spec()
@@ -117,7 +117,7 @@ class TestLowering:
         ops = one_step_ops(spec, RELAXED)
         assert [p.kind for p in ops] == ["ms", "ms"]
         assert ops[0].duration_us == ops[1].duration_us > 0
-        assert ops[0].angle == ops[1].angle == pytest.approx(term.angle / 2)
+        assert ops[0].angle == ops[1].angle == pytest.approx(abs(term.coeff) * term.dt_fs / 2)
 
     def test_zero_angle_term_empty(self):
         # equal diagonal couplings: the spin-dependent part has zero angle and
@@ -174,6 +174,19 @@ class TestScheduleTotals:
         assert sch.operation_time_us() == pytest.approx(
             sum(p.duration_us for p in sch.pulses), rel=1e-12
         )
+
+    @pytest.mark.parametrize("lam", [5.0, 0.0], ids=["pulses", "no-pulses"])
+    def test_operation_times_at_every_step_boundary(self, lam):
+        sch = build_schedule(model.build_toy_model(2, lam), 400.0, 8)
+        ref = [0.0]
+        for k in range(1, sch.steps + 1):
+            total = 0.0
+            for p in sch.ops:
+                if p.step < k:
+                    total += p.duration_us
+            ref.append(total)
+        assert sch.operation_times_us() == ref
+        assert (ref[-1] > 0) == (lam > 0)
 
     def test_s_invariance_above_floor(self):
         a = build_schedule(model.build_toy_model(2, 30.0), 400.0, 600)
