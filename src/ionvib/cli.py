@@ -39,46 +39,6 @@ from .errors import (
     UnsupportedChainError,
 )
 
-PRESET_SECTIONS = {
-    "toy": {"model": {"preset": "toy", "modes": "2", "lambda_over_delta": "1.0"}},
-    "ci": {
-        "model": {"preset": "ci", "kx_ev": "0.02", "kz_ev": "0.02", "nux_ev": "0.08", "nuz_ev": "0.08"}
-    },
-    # vaet and plet parameter values are illustrative workbench choices,
-    # not measured or published numbers
-    "vaet": {
-        "model": {
-            "preset": "vaet",
-            "e_d_ev": "0.0",
-            "e_a_ev": "-0.0124",
-            "delta_ev": "0.0124",
-            "kappa_d1_ev": "0.0062",
-            "kappa_d2_ev": "0.0062",
-            "kappa_a2_ev": "-0.0062",
-            "kappa_a3_ev": "0.0062",
-            "nu_ev": "0.0124 0.0186 0.0248",
-        }
-    },
-    "plet": {
-        "model": {
-            "preset": "plet",
-            "omega_ev": "0.0 2.0 2.02 1.98",
-            "mu1": "0.012 0.0",
-            "mu2": "0.0 0.012",
-            "v1_ev": "0.01",
-            "v2_ev": "0.01",
-        },
-        "drive": {
-            "polarization": "0.7071067811865476 0.7071067811865476j",
-            "carrier_ev": "2.0",
-            "envelope": "constant",
-            "amplitude": "1.0",
-            "rwa": "true",
-        },
-    },
-}
-
-
 def _parse_cutoffs(section: dict):
     return tuple(cfg.parse_value(section, "cutoffs", cfg.ints)) or None
 
@@ -101,12 +61,9 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     backend = run["backend"]
     output = run["output"]
     tau_fs = cfg.parse_value(run, "tau_fs")
-    times = exact.default_time_grid(tau_fs, cfg.parse_value(run, "grid_points", int))
-    seed = _at_least(run, "seed", 0)
-    initial = cfg.parse_value(run, "initial_state", int)
     diagnostics = {}
 
-    if backend == "estimate":
+    if backend == "estimate":  # reads no other [run] setting
         est = run_cfg.section("estimate")
         plan = estimator.ExperimentPlan(
             lambdas=tuple(cfg.parse_value(est, "lambdas", cfg.floats)),
@@ -133,6 +90,9 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
         )
         return diagnostics
 
+    times = exact.default_time_grid(tau_fs, cfg.parse_value(run, "grid_points", int))
+    seed = _at_least(run, "seed", 0)
+    initial = cfg.parse_value(run, "initial_state", int)
     spec = run_cfg.spec()
 
     if backend == "exact":
@@ -246,12 +206,9 @@ def _sections_from_flags(args) -> dict:
     if args.model_file:
         model_cfg = cfg.load_model(args.model_file)
         sections.update(cfg.spec_to_sections(model_cfg))
-    if args.preset:
-        if args.preset not in PRESET_SECTIONS:
-            raise ConfigError(f"unknown preset {args.preset!r}", key="preset")
-        for name, kv in PRESET_SECTIONS[args.preset].items():
-            sections.setdefault(name, {}).update(kv)
     model = sections.setdefault("model", {})
+    if args.preset:
+        model["preset"] = args.preset
     if args.lambda_over_delta is not None:
         model["lambda_over_delta"] = repr(args.lambda_over_delta)
     if args.modes is not None:
@@ -295,7 +252,7 @@ def _sections_from_flags(args) -> dict:
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="run config file (e.g. a previous sidecar)")
     p.add_argument("--model-file", help="model config file ([model]/[modes]/[drive] sections)")
-    p.add_argument("--preset", choices=sorted(PRESET_SECTIONS), help="built-in model preset")
+    p.add_argument("--preset", choices=sorted(cfg.PRESET_SECTIONS), help="built-in model preset")
     p.add_argument("--lambda-over-delta", type=float, help="reorganization ratio (toy preset)")
     p.add_argument("--modes", type=int, help="bath mode count (toy preset)")
     p.add_argument("--backend", choices=cfg.BACKENDS)
@@ -378,12 +335,9 @@ def _dispatch(args) -> int:
 
     if args.command in ("run", "compile", "estimate"):
         sections = _sections_from_flags(args)
-        if args.command == "compile":
-            sections.setdefault("run", {})["backend"] = "compile"
-            sections["run"].setdefault("output", "schedule.txt")
-        if args.command == "estimate":
-            sections.setdefault("run", {})["backend"] = "estimate"
-            sections["run"].setdefault("output", "estimate.csv")
+        if args.command != "run":
+            sections["run"]["backend"] = args.command
+            sections["run"].setdefault("output", "schedule.txt" if args.command == "compile" else "estimate.csv")
         run_cfg = cfg.resolve_run_config(sections)
         diagnostics = execute_run(run_cfg)
         output = run_cfg.section("run")["output"]

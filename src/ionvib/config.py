@@ -113,7 +113,54 @@ def spec_to_sections(spec: LvcmSpec) -> dict:
     return sections
 
 
+PRESET_SECTIONS = {
+    "toy": {"model": {"preset": "toy", "modes": "2", "lambda_over_delta": "1.0"}},
+    "ci": {
+        "model": {"preset": "ci", "kx_ev": "0.02", "kz_ev": "0.02", "nux_ev": "0.08", "nuz_ev": "0.08"}
+    },
+    # vaet and plet parameter values are illustrative workbench choices,
+    # not measured or published numbers
+    "vaet": {
+        "model": {
+            "preset": "vaet",
+            "e_d_ev": "0.0",
+            "e_a_ev": "-0.0124",
+            "delta_ev": "0.0124",
+            "kappa_d1_ev": "0.0062",
+            "kappa_d2_ev": "0.0062",
+            "kappa_a2_ev": "-0.0062",
+            "kappa_a3_ev": "0.0062",
+            "nu_ev": "0.0124 0.0186 0.0248",
+        }
+    },
+    "plet": {
+        "model": {
+            "preset": "plet",
+            "omega_ev": "0.0 2.0 2.02 1.98",
+            "mu1": "0.012 0.0",
+            "mu2": "0.0 0.012",
+            "v1_ev": "0.01",
+            "v2_ev": "0.01",
+        },
+        "drive": {
+            "polarization": "0.7071067811865476 0.7071067811865476j",
+            "carrier_ev": "2.0",
+            "envelope": "constant",
+            "amplitude": "1.0",
+            "rwa": "true",
+        },
+    },
+}
+
+
+def _with_preset(sections) -> dict:
+    """``sections`` with the named model preset's settings laid under the keys they already give."""
+    preset = PRESET_SECTIONS.get(sections.get("model", {}).get("preset", "").strip().lower(), {})
+    return {**sections, **{name: {**kv, **sections.get(name, {})} for name, kv in preset.items()}}
+
+
 def spec_from_sections(sections) -> LvcmSpec:
+    sections = _with_preset(sections)
     try:
         model = sections["model"]
     except KeyError:
@@ -160,14 +207,12 @@ def _spec_from_model(model: dict, sections) -> LvcmSpec:
     if preset in ("toy", "ci", "vaet") and "drive" in sections:
         raise ConfigError(f"the {preset} preset takes no [drive] section", key="drive")
     if preset == "toy":
-        return build_toy_model(
-            parse_value(model, "modes", int, "2"), parse_value(model, "lambda_over_delta", float, "1.0")
-        )
+        return build_toy_model(parse_value(model, "modes", int), parse_value(model, "lambda_over_delta"))
     if preset == "ci":
         return build_ci_model(*(parse_value(model, k) for k in ("kx_ev", "kz_ev", "nux_ev", "nuz_ev")))
     if preset == "vaet":
         return build_vaet_model(
-            parse_value(model, "e_d_ev", float, "0.0"),
+            parse_value(model, "e_d_ev"),
             parse_value(model, "e_a_ev"),
             parse_value(model, "delta_ev"),
             parse_value(model, "kappa_d1_ev"),
@@ -187,7 +232,7 @@ def _spec_from_model(model: dict, sections) -> LvcmSpec:
             parse_value(drive, "polarization", _complexes),
             parse_value(drive, "carrier_ev"),
             _envelope(drive),
-            rwa=parse_bool(drive, "rwa", "true"),
+            rwa=parse_bool(drive, "rwa"),
         )
     if preset != "custom":
         raise ConfigError(f"unknown model preset {preset!r}", key="preset")
@@ -335,14 +380,13 @@ class RunConfig:
 
 
 def resolve_run_config(sections: dict) -> RunConfig:
-    """Fill in every default so the resolved config is self-contained."""
+    """Fill in every default, a named preset's settings too, so the resolved config is self-contained."""
+    sections = _with_preset(sections)
     out = {}
     out["run"] = {**RUN_DEFAULTS, **sections.get("run", {})}
     backend = out["run"]["backend"]
     if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}", key="backend")
-    if "model" not in sections and backend != "estimate":
-        raise ConfigError("missing [model] section")
     for name in ("model", "modes", "drive", "hardware"):
         if name in sections:
             out[name] = dict(sections[name])

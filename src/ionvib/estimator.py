@@ -4,6 +4,10 @@ Each population point at grid time index g costs R repeated runs; every run
 pays the fixed overhead (cooling + state preparation + measurement) plus the
 operation time of the schedule truncated at that grid point.  Totals therefore
 use the same per-step duration accounting as the schedule itself.
+
+The priced points g = 1 .. P sit at steps S/P .. S, while an ion trace reads
+steps 0 .. S(P-1)/P (``pulses.step_grid``): toy N=2, lambda 1, R=100, S=600,
+P=40 prices ``operation_s`` at 10.25 s, against 9.75 s over ``step_grid``.
 """
 
 from __future__ import annotations

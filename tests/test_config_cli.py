@@ -55,6 +55,12 @@ class TestModelFiles:
         )
         assert spec == model.build_toy_model(2, 5.0)
 
+    @pytest.mark.parametrize("name", sorted(cfg.PRESET_SECTIONS))
+    def test_preset_only_model_file_loads_the_preset(self, tmp_path, name):
+        path = tmp_path / "m.ini"
+        path.write_text(f"[model]\npreset = {name}\n")
+        assert cfg.load_model(path) == cfg.spec_from_sections(cfg.PRESET_SECTIONS[name])
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             cfg.spec_from_sections({"model": {"preset": "nope"}})
@@ -335,6 +341,7 @@ GAUSSIAN_DRIVE = (
             "grid_points",
         ),
         ("[run]\nbackend = estimate\n[estimate]\ntime_points = 0\n", ["run", "--config", "{ini}"], "time_points"),
+        (None, ["estimate", "--grid-points", "0"], "time_points"),
         (
             "[hardware]\nsideband_rabi_khz = 1.47\n",
             ["compile", "--preset", "toy", "--steps", "4", "--hardware", "{ini}"],
@@ -460,6 +467,7 @@ GAUSSIAN_DRIVE = (
     ids=[
         "cutoffs-text", "model-states-text", "run-tau-text", "hardware-text", "sweep-lambdas-text",
         "grid-0-exact", "grid-neg-exact", "grid-0-ehrenfest", "grid-0-ion", "estimate-time-points-0",
+        "estimate-grid-0",
         "hardware-rabi-one-value", "hardware-slope-no-chain", "model-delta-count", "model-kappa-count",
         "model-nu-count", "model-transition-one-state", "estimate-runs-0", "ion-runs-neg",
         "ion-steps-0", "ion-steps-neg", "compile-steps-0", "estimate-steps-neg", "estimate-steps-not-multiple",
@@ -845,3 +853,36 @@ def test_readme_run_config_matches_resolved_defaults(tmp_path):
     for name, backend in backends.items():
         resolved = cfg.resolve_run_config({"model": {"preset": "toy"}, "run": {"backend": backend}})
         assert documented[name] == resolved.section(name), name
+
+
+@pytest.mark.parametrize(
+    "ini,flags,expected",
+    [
+        ("[model]\npreset = toy\n", ["--cutoffs", "4,4"], {"model": {"modes": "2", "lambda_over_delta": "1.0"}}),
+        ("[model]\npreset = plet\n", [], {"drive": {"carrier_ev": "2.0", "rwa": "true"}}),
+        # the file's own keys override the preset's values, --preset included
+        ("[model]\npreset = toy\nmodes = 3\n", ["--preset", "toy", "--cutoffs", "4,4,4"], {"model": {"modes": "3"}}),
+    ],
+    ids=["toy", "plet-no-drive", "file-modes-over-preset-flag"],
+)
+def test_config_file_preset_resolves_into_sidecar_and_replays(tmp_path, ini, flags, expected):
+    path = tmp_path / "c.ini"
+    path.write_text(ini)
+    out, replay = tmp_path / "out.csv", tmp_path / "replay.csv"
+    args = ["run", "--config", str(path), "--backend", "exact", "--grid-points", "4", *flags]
+    assert main([*args, "--output", str(out)]) == 0
+    sidecar = cfg.load_run_sections(str(out) + ".meta.ini")
+    for name, kv in expected.items():
+        assert {k: sidecar[name][k] for k in kv} == kv
+    assert main(["run", "--config", str(out) + ".meta.ini", "--output", str(replay)]) == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("line", ["grid_points = 0", "seed = -3"])
+def test_estimate_ignores_run_keys_it_does_not_read(tmp_path, line):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[run]\nbackend = estimate\n{line}\n")
+    default, out = tmp_path / "default.csv", tmp_path / "out.csv"
+    assert main(["estimate", "--output", str(default)]) == 0
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    assert out.read_bytes() == default.read_bytes()
