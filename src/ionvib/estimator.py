@@ -37,7 +37,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         if not self.lambdas or not self.mode_counts:
-            raise InvalidModelError("experiment grid is empty")
+            raise InvalidModelError("experiment grid is empty", key="modes_list" if self.lambdas else "lambdas")
         for key in ("time_points", "trotter_steps", "runs_per_point"):
             if getattr(self, key) < 1:
                 raise InvalidModelError(f"must be at least 1, got {getattr(self, key)}", key=key)
@@ -59,11 +59,11 @@ class CostRow:
 def _operation_times_us(spec, plan: ExperimentPlan) -> list:
     """Operation time (us) before each step boundary 0 .. S, as ``PulseSchedule.operation_times_us``."""
     steps = plan.trotter_steps
-    # One lowered step stands for all S.  A toy model (two states, dense
-    # encoding, no drive) lowers every step to the same ops, with angles
-    # computed from the same operands, so their durations are bit-identical;
-    # only the phases move with the step's midpoint time.  A drive or a
-    # one-hot model would break this, and the estimator builds neither.
+    # One lowered step stands for all S.  pulses._Lowerer reads the coupling
+    # tables once per schedule; a toy model (two states, dense encoding, no
+    # drive) lowers every step from the same entries and step length, so the
+    # durations are bit-identical and only the midpoint phases move.  A drive
+    # or a one-hot model would break this, and the estimator builds neither.
     one_step = build_schedule(spec, plan.tau_fs / steps, 1, plan.hardware)
     return running_times_us([[p.duration_us for p in one_step.ops]] * steps)
 

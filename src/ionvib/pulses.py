@@ -35,9 +35,15 @@ sdf pulses.  Models with three or more states map one state per qubit
 ramps, inter-state couplings become ms pairs, and diagonal couplings become
 sdf pulses conjugated into the Z axis.
 
+Each Trotter step lowers, in this order: the dense energy gap (one carrier),
+the diagonal couplings by mode, the one-hot inter-state couplings by state
+pair, the off-diagonal couplings by (pair, mode), then the drive
+transitions, with phases and drive coefficients taken at the step midpoint.
+
 Mode k is assigned the k-th non-CM radial mode in descending frequency; CM
-modes are never used.  Harmonic phases (nu_k a^dag a) and the frame terms emit
-no pulses: they only advance motional and spin phases, plus one final
+modes are never used.  Harmonic phases (nu_k a^dag a) and the frame terms
+(the dense inter-state coupling, the one-hot state energies) emit no pulses:
+they only advance motional and spin phases, plus one final
 measurement-basis correction.
 
 Basis-change conjugations around a pulse are emitted as explicit ops.  By
@@ -149,20 +155,6 @@ class HardwareParams:
 
 
 @dataclass(frozen=True)
-class TrotterTerm:
-    """One factor of the first-order product formula."""
-
-    step: int
-    kind: str  # energy | dcoup | delta | ocoup | drive
-    t_mid_fs: float
-    dt_fs: float
-    states: tuple = ()
-    mode: int | None = None
-    coeff: complex = 0.0  # rad/fs (delta / ocoup / drive)
-    diag: tuple = ()  # rad/fs per state (energy / dcoup)
-
-
-@dataclass(frozen=True)
 class NativePulse:
     """One native operation; ``virtual`` ops are ideal bookkeeping rotations."""
 
@@ -187,50 +179,6 @@ def static_energies(spec: LvcmSpec) -> np.ndarray:
     model's electronic matrix carries that shift.
     """
     return np.real(np.diag(spec.electronic_matrix(0.0)))
-
-
-def trotterize(spec: LvcmSpec, tau_fs: float, steps: int) -> list:
-    """Canonically ordered first-order Trotter terms with midpoint-sampled phases.
-
-    Per step: state energies, diagonal couplings by mode, inter-state
-    couplings by state pair, off-diagonal couplings by (pair, mode), then
-    drive transitions.  Harmonic-evolution terms emit nothing here; they
-    surface as motional-phase values on the lowered pulses.
-    """
-    if steps < 1:
-        raise InvalidModelError(f"must be at least 1, got {steps}", key="trotter_steps")
-    m, n = spec.state_count, spec.mode_count
-    dt = tau_fs / steps
-    energies = static_energies(spec)
-    # which terms appear, and their coefficients, are the same at every step
-    energy = tuple(energies) if np.any(np.abs(energies) > 0) else None
-    dcoups = []
-    for k in range(n):
-        diag = np.real(np.diagonal(spec.kappa[:, :, k]))
-        if np.any(np.abs(diag) > 0):
-            dcoups.append((k, tuple(diag)))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    deltas = [((i, j), spec.delta[i, j]) for i, j in pairs if abs(spec.delta[i, j]) > 0]
-    ocoups = [
-        ((i, j), k, spec.kappa[i, j, k]) for i, j in pairs for k in range(n) if abs(spec.kappa[i, j, k]) > 0
-    ]
-    terms = []
-    for s in range(steps):
-        t_mid = (s + 0.5) * dt
-        if energy is not None:
-            terms.append(TrotterTerm(s, "energy", t_mid, dt, states=tuple(range(m)), diag=energy))
-        for k, diag in dcoups:
-            terms.append(TrotterTerm(s, "dcoup", t_mid, dt, mode=k, diag=diag))
-        for ij, c in deltas:
-            terms.append(TrotterTerm(s, "delta", t_mid, dt, states=ij, coeff=c))
-        for ij, k, c in ocoups:
-            terms.append(TrotterTerm(s, "ocoup", t_mid, dt, states=ij, mode=k, coeff=c))
-        if spec.drive is not None:
-            coeffs = spec.drive.coupling_coefficients(t_mid)
-            for (lo, hi), c in zip(spec.drive.transitions, coeffs):
-                if abs(c) > 0:
-                    terms.append(TrotterTerm(s, "drive", t_mid, dt, states=(lo, hi), coeff=c))
-    return terms
 
 
 # --- encoding -----------------------------------------------------------------
@@ -350,14 +298,30 @@ def _conjugation_ops(axis: np.ndarray):
 
 
 class _Lowerer:
-    def __init__(self, spec, mapping, hardware, n_ions, physical_rotations):
+    """Lowers one Trotter step at a time from the model's coupling tables, read once per schedule."""
+
+    def __init__(self, spec, mapping, hardware, n_ions, physical_rotations, dt_fs):
         self.spec = spec
         self.mapping = mapping
         self.hw = hardware
         self.physical = physical_rotations
+        self.dt = dt_fs
         self.slope, self.floor = hardware.calibration_for(n_ions)
         self.rabi_max_rad_us = hardware.sideband_rabi_khz[1] * 1e-3 * TWO_PI
         self.carrier_rad_us = hardware.carrier_rabi_khz * 1e-3 * TWO_PI
+        # the coupling tables: which terms appear, and their coefficients, are the same at every step
+        m, n = spec.state_count, spec.mode_count
+        self.dense = mapping.encoding == "dense"
+        self.energies = static_energies(spec)
+        diags = [np.real(np.diagonal(spec.kappa[:, :, k])) for k in range(n)]
+        self.diag_couplings = [(k, diag) for k, diag in enumerate(diags) if np.any(np.abs(diag) > 0)]
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        # the dense encoding's inter-state coupling is its frame, so only one-hot lowers it
+        self.pair_couplings = [] if self.dense else [((i, j), spec.delta[i, j]) for i, j in pairs if spec.delta[i, j]]
+        self.offdiag_couplings = [
+            ((i, j), k, spec.kappa[i, j, k]) for i, j in pairs for k in range(n) if spec.kappa[i, j, k]
+        ]
+        self._pair = self._pair_dense if self.dense else self._pair_onehot
 
     def _op(self, step, kind, qubits, mode, phis, phi_m, angle, virtual=False, tag="eq"):
         """One native op as a list, empty for a zero angle."""
@@ -405,100 +369,92 @@ class _Lowerer:
             *self._op(step, "carrier", (qubit,), None, (phi_c,), 0.0, beta, virtual=True, tag="conj"),
         ]
 
-    # -- term lowering; frame phases: dense spin 2 g t, mode -nu_k t
+    def step_ops(self, step: int) -> list:
+        """The ops of one Trotter step; frame phases are dense spin 2 g t and mode -nu_k t."""
+        t = (step + 0.5) * self.dt
+        ops = []
+        gap = self.energies[0] - self.energies[1]
+        if self.dense and abs(gap) >= 1e-15:
+            # (E_D - E_A)/2 Z_sim -> equatorial carrier in the rotating frame
+            phi = 2.0 * self.mapping.frame_z[0] * t
+            ops += self._op(step, "carrier", (0,), None, (phi,), 0.0, gap * self.dt)
+        for k, diag in self.diag_couplings:
+            ops += self._diagonal(step, t, k, diag)
+        for ij, c in self.pair_couplings:
+            ops += self._pair(step, t, ij, None, c)
+        for ij, k, c in self.offdiag_couplings:
+            ops += self._pair(step, t, ij, k, c)
+        if self.spec.drive is not None:
+            for ij, c in zip(self.spec.drive.transitions, self.spec.drive.coupling_coefficients(t)):
+                if abs(c) > 0:
+                    ops += self._pair(step, t, ij, None, c)
+        return ops
 
-    def lower(self, term: TrotterTerm) -> list:
-        if term.kind == "energy":
-            return self._lower_energy(term)
-        if term.kind == "dcoup":
-            return self._lower_dcoup(term)
-        if term.kind in ("delta", "ocoup", "drive"):
-            if self.mapping.encoding == "dense":
-                return self._lower_pair_dense(term)
-            return self._lower_pair_onehot(term)
-        raise InvalidModelError(f"cannot lower term kind {term.kind!r}")
-
-    def _lower_energy(self, term):
-        if self.mapping.encoding == "onehot":
-            return []  # per-qubit frame ramp, no pulses
-        e_diff = term.diag[0] - term.diag[1]
-        if abs(e_diff) < 1e-15:
-            return []
-        # (E_D - E_A)/2 Z_sim -> equatorial carrier in the rotating frame
-        phi = 2.0 * self.mapping.frame_z[0] * term.t_mid_fs
-        return self._op(term.step, "carrier", (0,), None, (phi,), 0.0, e_diff * term.dt_fs)
-
-    def _lower_dcoup(self, term):
-        k = term.mode
-        phi_m = -self.spec.nu[k] * term.t_mid_fs
-        if self.mapping.encoding == "dense":
-            c_z = (term.diag[0] - term.diag[1]) / 2.0
-            c_i = (term.diag[0] + term.diag[1]) / 2.0
-            phi = 2.0 * self.mapping.frame_z[0] * term.t_mid_fs
+    def _diagonal(self, step, t, k, diag):
+        """Diagonal couplings to mode k: spin-dependent sdf pulses plus a disp for their trace."""
+        phi_m = -self.spec.nu[k] * t
+        if self.dense:  # spin part (d0 - d1)/2, trace part (d0 + d1)/2
+            phi = 2.0 * self.mapping.frame_z[0] * t
             return [
-                *self._op(term.step, "sdf", (0,), k, (phi,), phi_m, c_z * term.dt_fs),
-                *self._op(term.step, "disp", (), k, (), phi_m, c_i * term.dt_fs),
+                *self._op(step, "sdf", (0,), k, (phi,), phi_m, (diag[0] - diag[1]) / 2.0 * self.dt),
+                *self._op(step, "disp", (), k, (), phi_m, (diag[0] + diag[1]) / 2.0 * self.dt),
             ]
         ops = []
         trace_part = 0.0
-        for i, kappa_i in enumerate(term.diag):
+        for i, kappa_i in enumerate(diag):
             if abs(kappa_i) < 1e-15:
                 continue
             # kappa (I - Z_i)/2 (x) B: Z part is axis -z with weight kappa/2
             axis = np.array([0.0, 0.0, -1.0])
-            ops += self._conjugated(term.step, "sdf", i, k, axis, phi_m, kappa_i * term.dt_fs / 2.0)
+            ops += self._conjugated(step, "sdf", i, k, axis, phi_m, kappa_i * self.dt / 2.0)
             trace_part += kappa_i / 2.0
-        ops += self._op(term.step, "disp", (), k, (), phi_m, trace_part * term.dt_fs)
+        ops += self._op(step, "disp", (), k, (), phi_m, trace_part * self.dt)
         return ops
 
-    def _lower_pair_dense(self, term):
+    def _pair_dense(self, step, t, states, mode, coeff):
         """A drive (carrier) or off-diagonal coupling (sdf) about its axis in the frame."""
-        if term.kind == "delta":
-            return []  # the dense electronic coupling is the frame itself
         # rephased coefficient, then conjugate the generator into the frame
-        c = term.coeff * self.mapping.rephase[0] * np.conj(self.mapping.rephase[1])
+        c = coeff * self.mapping.rephase[0] * np.conj(self.mapping.rephase[1])
         g_sim = np.real(c) * _X + np.imag(c) * _Y  # on (|D>, |A>)
         g_hw = _H @ g_sim @ _H
-        t = term.t_mid_fs
         u = np.diag(np.exp(1j * np.array([1.0, -1.0]) * self.mapping.frame_z[0] * t))
         g_rot = u @ g_hw @ u.conj().T
         axis, r = _axis_of(g_rot)
         if r < 1e-15:
             return []
-        if term.mode is None:  # the carrier generator is sigma/2
-            return self._conjugated(term.step, "carrier", 0, None, axis / r, 0.0, 2.0 * r * term.dt_fs)
-        phi_m = -self.spec.nu[term.mode] * t
-        return self._conjugated(term.step, "sdf", 0, term.mode, axis / r, phi_m, r * term.dt_fs)
+        if mode is None:  # the carrier generator is sigma/2
+            return self._conjugated(step, "carrier", 0, None, axis / r, 0.0, 2.0 * r * self.dt)
+        phi_m = -self.spec.nu[mode] * t
+        return self._conjugated(step, "sdf", 0, mode, axis / r, phi_m, r * self.dt)
 
-    def _lower_pair_onehot(self, term):
-        """(c sigma+_i sigma-_j + h.c.), times B for ocoup, as two commuting halves.
+    def _pair_onehot(self, step, t, states, mode, coeff):
+        """(c sigma+_i sigma-_j + h.c.), times B for a mode, as two commuting halves.
 
-        delta and drive terms are an XX/YY-style ms pair.  Each ocoup half is an
-        sdf on qubit j conjugated by C = carrier_j(b+pi/2, -pi/2) . ms(a, b+pi/2,
-        pi/4), which maps sigma^b_j to sigma^a_i sigma^b_j; the ops realize
-        C U_sdf C^dag (verified numerically in the test suite).
+        Without a mode (inter-state coupling or drive) it is an XX/YY-style ms
+        pair.  With one, each half is an sdf on qubit j conjugated by
+        C = carrier_j(b+pi/2, -pi/2) . ms(a, b+pi/2, pi/4), which maps sigma^b_j
+        to sigma^a_i sigma^b_j; the ops realize C U_sdf C^dag (verified
+        numerically in the test suite).
         """
-        i, j = term.states
+        i, j = states
         # interaction-picture coefficient picks up the energy-frame phase
-        e = [-2.0 * g for g in self.mapping.frame_z]  # E_i values
-        c_t = term.coeff * np.exp(1j * (e[i] - e[j]) * term.t_mid_fs)
+        c_t = coeff * np.exp(1j * (self.energies[i] - self.energies[j]) * t)
         delta_phase = np.angle(c_t)
-        theta = abs(c_t) * term.dt_fs / 2.0
-        step = term.step
-        if term.mode is None:
+        theta = abs(c_t) * self.dt / 2.0
+        if mode is None:
             # written out, not looped over shifts: a zero phase stays -0.0 here
             return [
                 *self._op(step, "ms", (i, j), None, (-delta_phase, 0.0), 0.0, theta),
                 *self._op(step, "ms", (i, j), None, (-delta_phase - math.pi / 2.0, -math.pi / 2.0), 0.0, theta),
             ]
-        phi_m = -self.spec.nu[term.mode] * term.t_mid_fs
+        phi_m = -self.spec.nu[mode] * t
         ops = []
         for b in (0.0, -math.pi / 2.0):
             a = -delta_phase + b
             pc = b + math.pi / 2.0
             ops += self._op(step, "carrier", (j,), None, (pc,), 0.0, math.pi / 2.0, virtual=True, tag="conj")
             ops += self._op(step, "ms", (i, j), None, (a, pc), 0.0, -math.pi / 4.0, virtual=True, tag="conj")
-            ops += self._op(step, "sdf", (j,), term.mode, (b,), phi_m, theta, tag="conj")
+            ops += self._op(step, "sdf", (j,), mode, (b,), phi_m, theta, tag="conj")
             ops += self._op(step, "ms", (i, j), None, (a, pc), 0.0, math.pi / 4.0, virtual=True, tag="conj")
             ops += self._op(step, "carrier", (j,), None, (pc,), 0.0, -math.pi / 2.0, virtual=True, tag="conj")
         return ops
@@ -602,15 +558,22 @@ def build_schedule(
     initial_state: int = 0,
     physical_rotations: bool = False,
 ) -> PulseSchedule:
-    """Compile a model into a complete pulse schedule."""
+    """Compile a model into a complete pulse schedule, one Trotter step after another.
+
+    A ``steps`` below 1, or a ``tau_fs`` that is not finite and positive,
+    raises :class:`~ionvib.errors.InvalidModelError` naming ``trotter_steps``
+    or ``tau_fs``.
+    """
     spec.check_state(initial_state)
+    if steps < 1:
+        raise InvalidModelError(f"must be at least 1, got {steps}", key="trotter_steps")
+    if not 0 < tau_fs < math.inf:  # NaN fails too
+        raise InvalidModelError(f"must be finite and positive, got {tau_fs}", key="tau_fs")
     hardware = hardware or HardwareParams()
     mapping = map_spec(spec)
     n_ions = ions_for(spec)
-    low = _Lowerer(spec, mapping, hardware, n_ions, physical_rotations)
-    ops = []
-    for term in trotterize(spec, tau_fs, steps):
-        ops.extend(low.lower(term))
+    low = _Lowerer(spec, mapping, hardware, n_ions, physical_rotations, tau_fs / steps)
+    ops = [op for s in range(steps) for op in low.step_ops(s)]
     return PulseSchedule(
         spec=spec,
         mapping=mapping,

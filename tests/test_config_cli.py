@@ -452,6 +452,8 @@ GAUSSIAN_DRIVE = (
         (None, [*TOY_EXACT_RUN, "--modes", "0"], "modes"),
         (None, ["estimate", "--lambdas", "nan,1", "--modes-list", "2"], "lambdas"),
         (None, ["estimate", "--lambdas", "1", "--modes-list", "0"], "modes_list"),
+        (None, ["estimate", "--lambdas", "", "--modes-list", "2"], "lambdas"),
+        (None, ["estimate", "--lambdas", "1", "--modes-list", ","], "modes_list"),
         (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-lambdas", "nan"], "lambda_over_delta"),
         # the emulated ions start in the motional ground state; no thermal ion state exists yet
         (None, [*ION_RUN, "--backend", "ion-ideal", "--nbar", "0.5"], "nbar"),
@@ -481,7 +483,8 @@ GAUSSIAN_DRIVE = (
         "hardware-carrier-rabi-0", "hardware-cooling-neg", "hardware-slope-neg", "hardware-floor-neg",
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
         "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
-        "estimate-lambda-nan", "estimate-modes-0", "sweep-lambda-nan",
+        "estimate-lambda-nan", "estimate-modes-0", "estimate-lambdas-empty", "estimate-modes-empty",
+        "sweep-lambda-nan",
         "ion-ideal-nbar-flag", "ion-noisy-nbar-flag", "ion-nbar-nan", "ion-noisy-eps-cut-nan",
         "toy-drive", "ci-drive", "vaet-drive",
     ],
@@ -787,11 +790,14 @@ def test_ion_sidecar_records_max_leakage(tmp_path, backend):
         (lambda: exact.default_time_grid(400.0, 0), "grid_points"),
         (lambda: exact.default_time_grid(float("nan"), 40), "tau_fs"),
         (lambda: estimator.ExperimentPlan(time_points=7), "trotter_steps"),
-        (lambda: pulses.trotterize(model.build_toy_model(2, 1.0), 400.0, 0), "trotter_steps"),
+        (lambda: pulses.build_schedule(model.build_toy_model(2, 1.0), 400.0, 0), "trotter_steps"),
         (lambda: hb.SpaceLayout(0, (1,)), "cutoffs"),
+        *((lambda tau=tau: pulses.build_schedule(model.build_toy_model(2, 5.0), tau, 4), "tau_fs")
+          for tau in (float("nan"), -400.0, 0.0, float("inf"))),
     ],
     ids=["schedule-initial-state", "hardware-carrier-rabi", "grid-points-0", "tau-nan", "plan-multiple",
-         "trotter-steps-0", "layout-cutoff-1"],
+         "trotter-steps-0", "layout-cutoff-1", "schedule-tau-nan", "schedule-tau-neg", "schedule-tau-0",
+         "schedule-tau-inf"],
 )
 def test_library_owner_raises_keyed_error(owner, key):
     # the library type that reads a setting checks it; the CLI reports the key with exit 2

@@ -6,16 +6,15 @@ import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from ionvib import exact, model, pulses
+from ionvib import config, exact, model, pulses
 from ionvib import hilbert as hb
-from ionvib.errors import InfeasibleScheduleError, InvalidModelError, UnsupportedChainError
+from ionvib.errors import InfeasibleScheduleError, UnsupportedChainError
 from ionvib.pulses import (
     HardwareParams,
     build_schedule,
     compose_ideal,
     ions_for,
     map_spec,
-    trotterize,
 )
 from ionvib.units import ev_to_rad_per_fs
 
@@ -44,30 +43,25 @@ class TestTrotterize:
         kappa[0, 0, 0] = 0.1
         kappa[1, 1, 0] = -0.1
         spec = model.LvcmSpec(delta, kappa, [0.13])
-        terms = trotterize(spec, 300.0, 3)
-        assert len(terms) == 3
-        assert all(t.kind == "dcoup" for t in terms)
-        assert {t.step for t in terms} == {0, 1, 2}
-        assert all(t.diag == terms[0].diag for t in terms)
+        ops = build_schedule(spec, 300.0, 3).ops
+        assert [(p.step, p.kind) for p in ops] == [(0, "sdf"), (1, "sdf"), (2, "sdf")]
+        assert ops[0].angle == ops[1].angle == ops[2].angle == pytest.approx(0.1 * 100.0)
 
     def test_toy_term_count(self):
-        spec = model.build_toy_model(2, 30.0)
-        terms = trotterize(spec, 400.0, 600)
-        dcoup = [t for t in terms if t.kind == "dcoup"]
-        assert len(dcoup) == 1200  # one sideband term per mode per step
-        assert all(t.kind in ("dcoup", "delta") for t in terms)
+        sch = build_schedule(model.build_toy_model(2, 30.0), 400.0, 600)
+        assert [p.kind for p in sch.ops] == ["sdf"] * 1200  # one sideband pulse per mode per step
 
     def test_angle_annotation(self):
+        # the dense inter-state coupling Delta/2 emits no pulse: it is the frame
         spec = model.build_toy_model(2, 1.0)
-        terms = trotterize(spec, 400.0, 100)
-        d = next(t for t in terms if t.kind == "delta")
-        assert abs(d.coeff) * d.dt_fs == pytest.approx(abs(spec.delta[0, 1]) * 4.0)
+        assert map_spec(spec).frame_z == (abs(spec.delta[0, 1]),)
 
     def test_canonical_order_within_step(self):
-        spec = onehot_spec()
-        terms = [t for t in trotterize(spec, 100.0, 2) if t.step == 0]
-        kinds = [t.kind for t in terms]
-        assert kinds == ["energy", "dcoup", "delta", "ocoup"]
+        # diagonal couplings (two conjugated sdf, one disp), the inter-state ms
+        # pair, then the off-diagonal coupling's two conjugated sdf halves
+        sch = build_schedule(onehot_spec(), 100.0, 2, hardware=RELAXED)
+        kinds = [p.kind for p in sch.pulses if p.step == 0]
+        assert kinds == ["sdf", "sdf", "disp", "ms", "ms", "sdf", "sdf"]
 
     def test_commuting_terms_exact_for_any_steps(self):
         spec = model.build_toy_model(2, 0.0)
@@ -94,13 +88,12 @@ class TestLowering:
         # the two-state sideband term lowers to exactly one sdf pulse whose
         # rotation matches exp(-i theta sigma (a + a^dag)) with Rabi*t/2 = theta
         spec = model.build_toy_model(1, 1.0)
-        term = next(t for t in trotterize(spec, 4.0, 1) if t.kind == "dcoup")
         ops = one_step_ops(spec)
         assert len(ops) == 1
         p = ops[0]
         assert p.kind == "sdf"
-        c_z = float(np.real(spec.kappa[0, 0, term.mode] - spec.kappa[1, 1, term.mode])) / 2
-        theta = abs(c_z) * term.dt_fs
+        c_z = float(np.real(spec.kappa[0, 0, 0] - spec.kappa[1, 1, 0])) / 2
+        theta = abs(c_z) * 4.0
         assert p.angle == pytest.approx(theta)
         rabi_rad_us = p.rabi_khz * 1e-3 * 2 * math.pi
         assert rabi_rad_us * p.duration_us / 2 == pytest.approx(p.angle, rel=1e-12)
@@ -113,11 +106,10 @@ class TestLowering:
     def test_pair_coupling_two_ms_pulses_equal_durations(self):
         # one-hot model whose only pulse-emitting term is the state coupling
         spec = model.LvcmSpec(onehot_spec().delta, np.zeros((3, 3, 1)), [EV(0.05)])
-        term = next(t for t in trotterize(spec, 4.0, 1) if t.kind == "delta")
         ops = one_step_ops(spec, RELAXED)
         assert [p.kind for p in ops] == ["ms", "ms"]
         assert ops[0].duration_us == ops[1].duration_us > 0
-        assert ops[0].angle == ops[1].angle == pytest.approx(abs(term.coeff) * term.dt_fs / 2)
+        assert ops[0].angle == ops[1].angle == pytest.approx(abs(spec.delta[0, 1]) * 4.0 / 2)
 
     def test_zero_angle_term_empty(self):
         # equal diagonal couplings: the spin-dependent part has zero angle and
@@ -419,14 +411,6 @@ class TestLocalKernel:
         assert {("carrier", True), ("ms", True)} <= kinds
 
 
-def test_unmappable_term_kind_rejected():
-    spec = model.build_toy_model(2, 1.0)
-    bogus = pulses.TrotterTerm(0, "squeeze", 1.0, 2.0)
-    low = pulses._Lowerer(spec, map_spec(spec), HardwareParams(), ions_for(spec), False)
-    with pytest.raises(InvalidModelError):
-        low.lower(bogus)
-
-
 def test_serialization_golden():
     # frozen byte-level format; update deliberately if the format version bumps
     sch = build_schedule(model.build_toy_model(2, 1.0), 400.0, 1)
@@ -502,6 +486,51 @@ def test_serialization_golden_every_path(name):
     spec, hardware, physical = _golden_schedules()[name]
     text = build_schedule(spec, 400.0, 6, hardware=hardware, physical_rotations=physical).serialize()
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[name]
+
+
+def _pinned_schedules():
+    """Every lowering path, plus the vaet preset and the toy model at N = 1..5."""
+    cases = _golden_schedules()
+    cases["vaet-preset"] = (config.spec_from_sections({"model": {"preset": "vaet"}}), None, False)
+    for n in range(1, 6):
+        cases[f"toy-{n}"] = (model.build_toy_model(n, 5.0), None, False)
+    return cases
+
+
+#: frozen digests; any change to an op's floats, even in the last bit, shows here
+OPS_SHA256 = {
+    "ci": "d9ae3ce27eceb82822225b91e6cfe207b13d8c36551675ad8ec62fe56486399d",
+    "dense-drive": "937a46de3c2d04b0130b1176f1fdc71f99d5ca4035b09f8c92fd3be53557a900",
+    "onehot-0.0-physical-False": "8392275c8e125906935698bc68ec2a535d2bff5e0d613b58f8b2ec82fad3f7ae",
+    "onehot-0.0-physical-True": "42a805a52d9ab95867504e2444e88f5c0c27dbb6d6e6a3775ed81136d9007e21",
+    "onehot-0.6-physical-False": "019520a2f0226c511186de641974ff94a34531c1ac475067becd3d74f9c6c395",
+    "onehot-0.6-physical-True": "8aaf9dcfa2c6eda3cef6e1408115811b7e07bc81cf2acb6cc507415302750c7a",
+    "onehot-zero-phase": "d432d60f755815072ebe34e9c3a5a6a2181499e8bdd819d22cee67c7588dfb11",
+    "plet-const-lab": "71184bf86bbfb1328535eb775a48c432443b00d3e952344b449789fa78db6703",
+    "plet-const-rwa": "e182f38813bc863185c839392037b12557df97a3a5c9cfff71b8ddc8a73cabbd",
+    "plet-gauss-lab": "02be6574d764605ab21d6602256ea970db3a55c63ed7bf1da46b5a9fffb8d058",
+    "plet-gauss-rwa": "e0ff73efe754f332ae69c0c52b2015994d2f8fe85c84f348a874119e1d05f56d",
+    "toy-1": "0eb3f565d0f87b5ec29b6a53597b734da44093cca32e79696fb4a9a0b317fd7a",
+    "toy-2": "7a0cc8376160d56c5c791d79fb6f773e1152343347473bc76ca782975ad22226",
+    "toy-3": "0e8cc6712d399592ba917408fccc5daf89b89ec0cbd5da1ad1a9c38e07c1ae39",
+    "toy-4": "f51ceb89b67f89e220f99563661b5a65733755803f00df1af08d376409531d85",
+    "toy-5": "aff49d036a9e6b52ada29ce7979256481d6da63d14f5d620648d5dc56b728a36",
+    "vaet": "7671fda3278d144de25608ce34471d0639071a4996c0bc5d43e630ac05c50be9",
+    "vaet-preset": "fdeec6f4e0e456436143035a59d7b088c16b55dd31e6c4e99b28e9402921fa5e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPS_SHA256))
+def test_ops_pinned_at_full_precision(name):
+    # the schedule's bytes, then every op's floats bit for bit (signed zeros included)
+    spec, hardware, physical = _pinned_schedules()[name]
+    sch = build_schedule(spec, 400.0, 7, hardware=hardware, physical_rotations=physical)
+    digest = hashlib.sha256(sch.serialize().encode())
+    for op in sch.ops:
+        fields = (op.angle, op.duration_us, op.rabi_khz, op.phi_m, *op.phis)
+        digest.update((" ".join(float(x).hex() for x in fields) + "\n").encode())
+    assert digest.hexdigest() == OPS_SHA256[name]
+
 
 class TestConjugationProperties:
     from hypothesis import given, settings
