@@ -348,6 +348,9 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         lambdas = cfg.parse_value(vars(args), "sweep_lambdas", cfg.floats)
         modes = cfg.parse_value(vars(args), "sweep_modes", cfg.ints)
+        for key, values in (("sweep_lambdas", lambdas), ("sweep_modes", modes)):
+            if not values:
+                raise ConfigError("sweep grid is empty", key=key)
         base_sections = _sections_from_flags(args)
         points = []
         for n in modes:

@@ -16,25 +16,29 @@ Randomness comes from numpy's PCG64 generator; the stream for trajectory r is
 seeded with SeedSequence([seed, r]), so ensembles are reproducible across
 platforms and independent of scheduling order.
 
-Integration: the whole ensemble is one batch.  The R trajectories are stacked
-in trajectory-index order into one (R, M + 2N) complex system, and a single
-DOP853 call advances it with rtol = atol = tol / sqrt(R); a lone trajectory
-(``evolve_trajectory``) is the batch of one.  DOP853 accepts a step when the
-RMS of the scaled local error over all R(M + 2N) components is at most 1, so
-the errors of any one trajectory, scaled with tol instead of tol / sqrt(R),
-have an RMS of at most 1: every accepted step passes the test that trajectory
-would meet if it were integrated alone at ``tol``.  Its result still depends
-on its batch-mates, which set the common step sizes, so the batch
-composition is fixed by trajectory index and a rerun is bit-identical.
-scipy raises any rtol below 100 eps (about 2.2e-14) to that floor with a
-warning, e.g. tol = 1e-13 at R = 100.
+Integration: the whole ensemble is one batch of real variables.  Trajectory
+r is the float64 vector (Re c, Im c, q, p) of length 2M + 2N, and the R
+trajectories are stacked in trajectory-index order into one R(2M + 2N)
+system that a single DOP853 call advances with rtol = atol = tol / sqrt(R); a
+lone trajectory (``evolve_trajectory``) is the batch of one.  DOP853 accepts a
+step when the RMS of the scaled local error over all R(2M + 2N) components is
+at most 1, each component scaled by atol + rtol |y_i| (so Re c and Im c are
+scaled separately).  Scaled with tol instead of tol / sqrt(R), the errors of
+any one trajectory then have an RMS of at most 1: every accepted step passes
+the test that trajectory would meet if it were integrated alone at ``tol``.
+Its result still depends on its batch-mates, which set the common step
+sizes, so the batch composition is fixed by trajectory index and a rerun is
+bit-identical.  scipy raises any rtol below 100 eps (about 2.2e-14) to that
+floor with a warning, e.g. tol = 1e-13 at R = 100.
 
-The equations are quadratic in a trajectory's y = (c, q, p), so the batch's
-right-hand side is two small GEMMs, dy = y A + (conj(c, q) (x) c) B, with
-constant A (-i delta, +-nu) and B (the sqrt(2) kappa terms), then Im dq =
-Im dp = 0; a time-dependent model writes -i H_el(t) into A's c block on
-each call.  This relies on Im q = Im p = 0, which holds exactly: y0
-has it, and DOP853 only adds multiples of derivatives that have it.
+The equations are quadratic in a trajectory's y, so the batch's right-hand
+side is one GEMM, dy = [y, P(y)] A, where P(y) holds the products of
+(Re c, Im c, q) with (Re c, Im c) and A is one constant real matrix: the
+complex couplings (-i delta, -i sqrt(2) kappa) in real 2 x 2 block form, the
++-nu of the oscillators and the sqrt(2) kappa of the force.  A time-dependent
+model writes -i H_el(t) into A's c block on each call.  A model without
+modes has no force and no q-linear term, so its right-hand side is y A alone.
+The populations are (Re c)^2 + (Im c)^2.
 
 At lambda/Delta of about 5 and above single trajectories are chaotic: a
 trajectory at tol 1e-10 and the same one at 1e-12 can differ by O(1) in
@@ -112,36 +116,49 @@ def mean_field_energy(spec: LvcmSpec, state: TrajectoryState, t_fs: float = 0.0)
     return e_el + e_cl
 
 
+def _realify(z: np.ndarray) -> np.ndarray:
+    """Real form of complex row maps over the last two axes: (Re v, Im v) @ _realify(z) = (Re, Im) of v @ z."""
+    return np.block([[z.real, z.imag], [-z.imag, z.real]])
+
+
 def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     """Integrate trajectories as one batch; returns (|c_i(t)|^2 of shape (R, T, M), RHS evaluations).
 
-    The R states are stacked, in the given order, into one (R, M + 2N) complex
-    system that one DOP853 call advances with rtol = atol = tol / sqrt(R).
+    The R states are stacked, in the given order, into one real system of
+    R (Re c, Im c, q, p) rows that one DOP853 call advances with
+    rtol = atol = tol / sqrt(R).
     """
     r, m, n = len(states), spec.state_count, spec.mode_count
     if any(s.c.shape != (m,) or s.q.shape != (n,) or s.p.shape != (n,) for s in states):
         raise InvalidModelError(f"a trajectory state needs {m} amplitudes c and {n} coordinates each in q and p")
-    w = m + 2 * n
-    y0 = np.concatenate([np.concatenate([s.c, s.q, s.p]) for s in states])
+    w = 2 * m + 2 * n
+    y0 = np.concatenate([np.concatenate([s.c.real, s.c.imag, s.q, s.p]) for s in states])
     driven = spec.is_time_dependent()
-    lin = np.zeros((w, w), dtype=complex)
-    lin[:m, :m] = (-1j * spec.electronic_matrix(0.0)).T  # a driven model rewrites it per call
+    pairs = (2 * m + n) * 2 * m  # P(y) = (Re c, Im c, q) x (Re c, Im c)
+    a = np.zeros((w + pairs, w))
+    a[: 2 * m, : 2 * m] = _realify(-1j * spec.electronic_matrix(0.0).T)  # a driven model rewrites it per call
     k = np.arange(n)
-    lin[m + n + k, m + k] = spec.nu
-    lin[m + k, m + n + k] = -spec.nu
-    quad = np.zeros((m + n, m, w), dtype=complex)  # rows: conj((c, q)) (x) c, the only nonzero products
-    quad[m:, :, :m] = -1j * SQRT2 * spec.kappa.transpose(2, 1, 0)  # conj(q_k) c_j -> dc_i
-    quad[:m, :, m + n :] = -SQRT2 * spec.kappa  # conj(c_i) c_j -> dp_k
-    quad = quad.reshape((m + n) * m, w)
+    a[2 * m + n + k, 2 * m + k] = spec.nu
+    a[2 * m + k, 2 * m + n + k] = -spec.nu
+    quad = a[w:].reshape(2 * m + n, 2 * m, w)
+    quad[2 * m :, :, : 2 * m] = _realify(-1j * SQRT2 * spec.kappa.transpose(2, 1, 0))  # q_k c_j -> dc_i
+    force = _realify(spec.kappa.conj().transpose(2, 0, 1)).transpose(1, 2, 0)  # conj(c_i) c_j -> dp_k, real part
+    quad[: 2 * m, : 2 * m, 2 * m + n :] = -SQRT2 * force
+    lin = a[:w]
+    # [y, P(y)] refilled on each call, trajectories on the last axis so the products run along the batch
+    ext = np.empty((w + pairs, r))
+    prod = ext[w:].reshape(2 * m + n, 2 * m, r)
 
     def rhs(t, y):
         y = y.reshape(r, w)
         if driven:
-            lin[:m, :m] = (-1j * spec.electronic_matrix(t)).T
-        out = y @ lin
-        out += (y[:, : m + n].conj()[:, :, None] * y[:, None, :m]).reshape(r, (m + n) * m) @ quad
-        out[:, m:].imag = 0.0
-        return out.ravel()
+            a[: 2 * m, : 2 * m] = _realify(-1j * spec.electronic_matrix(t).T)
+        if not n:  # without modes there is no force and no q-linear term
+            return (y @ lin).ravel()
+        y = y.T
+        ext[:w] = y
+        np.multiply(y[: 2 * m + n, None], y[None, : 2 * m], out=prod)
+        return (ext.T @ a).ravel()
 
     from scipy.integrate import solve_ivp  # only Ehrenfest runs need it
 
@@ -157,8 +174,9 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     )
     if not sol.success:
         raise ConvergenceError(f"trajectory integration failed: {sol.message}")
-    c_t = sol.y.reshape(r, w, -1)[:, :m, :]
-    return np.abs(c_t.transpose(0, 2, 1)) ** 2, sol.nfev
+    y_t = sol.y.reshape(r, w, -1)
+    pops = y_t[:, :m] ** 2 + y_t[:, m : 2 * m] ** 2
+    return pops.transpose(0, 2, 1), sol.nfev
 
 
 def evolve_trajectory(spec: LvcmSpec, state: TrajectoryState, times_fs, tol: float = 1e-10):

@@ -329,21 +329,60 @@ def test_ensemble_matches_per_term_equations_in_stderr_units():
     assert np.max(gap[spread] / scale[spread]) <= 3.0
 
 
-@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven"])
-def test_mode_coordinates_stay_exactly_real(name, monkeypatch):
-    # the quadratic form reads conj(q) as q and takes Re of the force by zeroing Im dq and Im dp
-    sols = []
+def _captured_solver(monkeypatch):
+    """Patch solve_ivp to record each call's (rhs, y0, solution)."""
+    calls = []
 
-    def kept(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
-        return sols[-1]
+    def kept(rhs, span, y0, **kwargs):
+        calls.append((rhs, y0, solve_ivp(rhs, span, y0, **kwargs)))
+        return calls[-1][2]
 
     monkeypatch.setattr(scipy.integrate, "solve_ivp", kept)
+    return calls
+
+
+def _real_state(c, q, p):
+    return np.concatenate([c.real, c.imag, q, p], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven", "modeless-driven"])
+def test_rhs_matches_per_term_equations(name, monkeypatch):
+    # the real right-hand side at random (Re c, Im c, q, p) equals the complex per-term equations
+    calls = _captured_solver(monkeypatch)
     spec = _rhs_specs()[name]
-    ensemble_average(spec, EnsembleConfig(trajectories=6, seed=2), np.linspace(0.0, 300.0, 13))
-    (sol,) = sols
-    y = sol.y.reshape(6, spec.state_count + 2 * spec.mode_count, -1)
-    assert np.all(y[:, spec.state_count :].imag == 0.0) and np.any(y[:, spec.state_count :].real)
+    m, n, r = spec.state_count, spec.mode_count, 3
+    config = EnsembleConfig(trajectories=r, seed=6)
+    states = [sample_initial(config, spec, trajectory_rng(6, i)) for i in range(r)]
+    ehrenfest._integrate(spec, states, np.linspace(0.0, 1.0, 2), 1e-6)
+    ((rhs, _, _),) = calls
+    rng = np.random.default_rng(8)
+    for t in (37.0, 80.0):
+        c = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
+        q, p = rng.normal(size=(r, n)), rng.normal(size=(r, n))
+        ref = _per_term_rhs(spec, r)(t, np.concatenate([c, q, p], axis=1).ravel()).reshape(r, m + 2 * n)
+        want = _real_state(ref[:, :m], ref[:, m : m + n].real, ref[:, m + n :].real)
+        got = rhs(t, _real_state(c, q, p).ravel()).reshape(r, 2 * m + 2 * n)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven", "modeless-driven"])
+def test_solver_state_is_real_c_then_q_p(name, monkeypatch):
+    # each trajectory is the float64 row (Re c, Im c, q, p); populations are (Re c)^2 + (Im c)^2
+    calls = _captured_solver(monkeypatch)
+    spec = _rhs_specs()[name]
+    m, n, r = spec.state_count, spec.mode_count, 4
+    rng = np.random.default_rng(2)
+    states = []
+    for _ in range(r):
+        c = rng.normal(size=m) + 1j * rng.normal(size=m)
+        states.append(TrajectoryState(c=c / np.linalg.norm(c), q=rng.normal(size=n), p=rng.normal(size=n)))
+    pops, _ = ehrenfest._integrate(spec, states, np.linspace(0.0, 300.0, 13), 1e-10)
+    ((_, y0, sol),) = calls
+    assert y0.dtype == np.float64 and y0.shape == (r * (2 * m + 2 * n),)
+    assert np.array_equal(y0, np.concatenate([_real_state(s.c, s.q, s.p) for s in states]))
+    y = sol.y.reshape(r, 2 * m + 2 * n, -1)
+    np.testing.assert_allclose(pops, (y[:, :m] ** 2 + y[:, m : 2 * m] ** 2).transpose(0, 2, 1), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
