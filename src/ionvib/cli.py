@@ -348,9 +348,13 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         lambdas = cfg.parse_value(vars(args), "sweep_lambdas", cfg.floats)
         modes = cfg.parse_value(vars(args), "sweep_modes", cfg.ints)
-        for key, values in (("sweep_lambdas", lambdas), ("sweep_modes", modes)):
-            if not values:
+        # each point's output file is named by these labels; a repeated one would overwrite a trace
+        for key, labels in (("sweep_lambdas", [f"{lam:g}" for lam in lambdas]), ("sweep_modes", modes)):
+            if not labels:
                 raise ConfigError("sweep grid is empty", key=key)
+            repeated = [x for i, x in enumerate(labels) if x in labels[:i]]
+            if repeated:
+                raise ConfigError(f"two points share the output file label {repeated[0]!r}", key=key)
         base_sections = _sections_from_flags(args)
         points = []
         for n in modes:

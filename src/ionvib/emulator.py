@@ -64,9 +64,10 @@ of the per-op loop, the products and the Cholesky check below, goes through
 scipy's library, so numpy's and scipy's thread pools never take turns.
 
 Trace and positivity are checked after every pulse with a duration, in
-every run: the trace stays within 1e-6 of 1, and the Hermitian part of rho
-plus 1e-6 I has a Cholesky factor, which it has exactly when the Hermitian
-part's smallest eigenvalue exceeds -1e-6.
+every run: the trace stays within :data:`TRACE_TOL` (1e-6) of 1, and the
+Hermitian part of rho plus :data:`EIG_TOL` (1e-6) times I has a Cholesky
+factor, which it has exactly when the Hermitian part's smallest eigenvalue
+exceeds -EIG_TOL.
 Before allocating anything, :func:`emulate` checks that rho and its working
 copies fit :data:`RHO_BYTES_LIMIT`.
 """
@@ -97,6 +98,10 @@ from .units import US_PER_MS, US_PER_S
 #: most bytes a cached dense local superoperator may take, summed over its
 #: blocks; larger local spaces are propagated by ``expm_multiply``
 DENSE_BYTES = 2**25
+#: largest |Tr rho - 1| the per-pulse check accepts
+TRACE_TOL = 1e-6
+#: most negative eigenvalue of rho's Hermitian part the per-pulse check accepts, negated
+EIG_TOL = 1e-6
 #: most bytes the density matrix and its working copies may take
 RHO_BYTES_LIMIT = 2**31
 #: the density matrix plus the working copies one step makes of it (about 4
@@ -316,16 +321,16 @@ def _channel(rho: np.ndarray, plan: _Plan, prop, w: np.ndarray, idle: list) -> n
     return new
 
 
-def _check_state(rho, trace_tol=1e-6, eig_tol=1e-6, context=""):
+def _check_state(rho, context=""):
     tr = float(np.trace(rho).real)
-    if not abs(tr - 1.0) <= trace_tol:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise NumericalFailureError(f"trace deviated to {tr:.8f} {context}")
-    # twice (Hermitian part + eig_tol I) has a Cholesky factor exactly when the
-    # smallest eigenvalue of the Hermitian part exceeds -eig_tol.  Its
+    # twice (Hermitian part + EIG_TOL I) has a Cholesky factor exactly when the
+    # smallest eigenvalue of the Hermitian part exceeds -EIG_TOL.  Its
     # transpose is its conjugate, with the same eigenvalues, and is already in
     # the column-major order LAPACK factors in place.
     shifted = rho + rho.conj().T
-    shifted.reshape(-1)[:: len(shifted) + 1] += 2.0 * eig_tol
+    shifted.reshape(-1)[:: len(shifted) + 1] += 2.0 * EIG_TOL
     (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
     factor, info = potrf(shifted.T, lower=True, clean=False, overwrite_a=True)
     if info != 0 or not np.isfinite(np.diagonal(factor)).all():

@@ -451,18 +451,17 @@ def propagate(request: PropagationRequest) -> PopulationTrace:
 def converge_cutoffs(request: PropagationRequest, runs: dict | None = None) -> tuple:
     """Smallest per-mode cutoffs meeting the eps_cut stability and leakage contract.
 
-    Every cutoff tuple is run at most once.  A caller that passes a dict as
-    ``runs`` gets every ``_run`` result of the search in it, keyed by cutoff
-    tuple in the order tried; the returned cutoffs' entry is the certifying run.
+    The search starts at 2 for an uncoupled mode and at 4 otherwise; it does
+    not read ``request.cutoffs``.  Every cutoff tuple is run at most once.  A
+    caller that passes a dict as ``runs`` gets every ``_run`` result of the
+    search in it, keyed by cutoff tuple in the order tried; the returned
+    cutoffs' entry is the certifying run.
     """
     spec = request.spec
     n = spec.mode_count
     eps = request.eps_cut
-    if request.cutoffs:
-        cutoffs = list(request.cutoffs)
-    else:
-        # uncoupled modes stay in their initial Fock level; cutoff 2 suffices
-        cutoffs = [2 if np.max(np.abs(spec.kappa[:, :, k])) == 0 else 4 for k in range(n)]
+    # uncoupled modes stay in their initial Fock level; cutoff 2 suffices
+    cutoffs = [2 if np.max(np.abs(spec.kappa[:, :, k])) == 0 else 4 for k in range(n)]
     runs = {} if runs is None else runs
     bases = []  # base-run populations, one per completed iteration
 

@@ -151,10 +151,6 @@ def thermal_weights(cutoff: int, nbar: float) -> np.ndarray:
     """Truncated geometric occupation p_n ~ (nbar/(1+nbar))^n, renormalized."""
     if nbar < 0:
         raise InvalidModelError("nbar must be non-negative")
-    if nbar == 0:
-        w = np.zeros(cutoff)
-        w[0] = 1.0
-        return w
     r = nbar / (1.0 + nbar)
     w = r ** np.arange(cutoff)
     return w / w.sum()

@@ -43,8 +43,10 @@ transitions, with phases and drive coefficients taken at the step midpoint.
 Mode k is assigned the k-th non-CM radial mode in descending frequency; CM
 modes are never used.  Harmonic phases (nu_k a^dag a) and the frame terms
 (the dense inter-state coupling, the one-hot state energies) emit no pulses:
-they only advance motional and spin phases, plus one final
-measurement-basis correction.
+they only advance motional and spin phases.  The dense frame is undone at
+readout by one 2x2 measurement-basis correction on the qubit.  The one-hot
+frame exp(-i sum_q g_q Z_q t) is diagonal in the measured basis, so it
+cannot move a population and needs no correction.
 
 Basis-change conjugations around a pulse are emitted as explicit ops.  By
 default they are ``virtual`` (ideal, zero-duration bookkeeping rotations);
@@ -171,16 +173,6 @@ class NativePulse:
     frame_tag: str = "eq"
 
 
-def static_energies(spec: LvcmSpec) -> np.ndarray:
-    """Diagonal electronic energies in the compilation frame (rad/fs).
-
-    With a rotating-wave drive the compilation happens in the carrier frame,
-    so the rotating states' energies are shifted down by the carrier; the
-    model's electronic matrix carries that shift.
-    """
-    return np.real(np.diag(spec.electronic_matrix(0.0)))
-
-
 # --- encoding -----------------------------------------------------------------
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -195,35 +187,19 @@ class QubitMapping:
     encoding: str  # dense | onehot
     qubit_count: int
     state_count: int
+    # dense only (empty for one-hot, whose frame is diagonal in the measured basis):
     rephase: tuple  # per-state phase factors applied before encoding
-    frame_z: tuple  # per-qubit hardware-Z frame coefficient g_q: H0 = sum g_q Z_q
+    frame_z: tuple  # hardware-Z frame coefficient g: H0 = g Z
 
     def hw_index(self, state: int) -> int:
         if self.encoding == "dense":
             return state
         return 1 << (self.qubit_count - 1 - state)
 
-    def encoder(self) -> np.ndarray:
-        """Unitary taking the encoded computational state to the hardware start frame."""
-        dim = 2**self.qubit_count
-        if self.encoding == "dense":
-            return _H.copy()
-        return np.eye(dim, dtype=complex)
-
-    def frame_h0_diag(self) -> np.ndarray:
-        """Diagonal of the frame Hamiltonian H0 in the hardware basis (rad/fs)."""
-        dim = 2**self.qubit_count
-        diag = np.zeros(dim)
-        for q, g in enumerate(self.frame_z):
-            bit = 1 << (self.qubit_count - 1 - q)
-            for idx in range(dim):
-                diag[idx] += g * (1.0 if not idx & bit else -1.0)
-        return diag
-
     def correction(self, t_fs: float) -> np.ndarray:
-        """Unitary mapping the hardware state at simulated time t to the readout frame."""
-        v = np.exp(-1j * self.frame_h0_diag() * t_fs)
-        return self.encoder().conj().T @ np.diag(v)
+        """Dense encoding: the 2x2 unitary mapping the qubit at simulated time t to the readout frame."""
+        diag = np.array([1.0, -1.0]) * self.frame_z[0]
+        return _H.conj().T @ np.diag(np.exp(-1j * diag * t_fs))
 
 
 def map_spec(spec: LvcmSpec) -> QubitMapping:
@@ -243,14 +219,7 @@ def map_spec(spec: LvcmSpec) -> QubitMapping:
         )
     if m < 2:
         raise InvalidModelError("schedules need at least two electronic states")
-    energies = tuple(static_energies(spec))
-    return QubitMapping(
-        encoding="onehot",
-        qubit_count=m,
-        state_count=m,
-        rephase=tuple(1.0 for _ in range(m)),
-        frame_z=tuple(-e / 2.0 for e in energies),
-    )
+    return QubitMapping(encoding="onehot", qubit_count=m, state_count=m, rephase=(), frame_z=())
 
 
 def ions_for(spec: LvcmSpec) -> int:
@@ -312,7 +281,10 @@ class _Lowerer:
         # the coupling tables: which terms appear, and their coefficients, are the same at every step
         m, n = spec.state_count, spec.mode_count
         self.dense = mapping.encoding == "dense"
-        self.energies = static_energies(spec)
+        # diagonal energies in the compilation frame (rad/fs): with a rotating-wave drive the
+        # compilation happens in the carrier frame, so the rotating states' energies are shifted
+        # down by the carrier; the model's electronic matrix carries that shift
+        self.energies = np.real(np.diag(spec.electronic_matrix(0.0)))
         diags = [np.real(np.diagonal(spec.kappa[:, :, k])) for k in range(n)]
         self.diag_couplings = [(k, diag) for k, diag in enumerate(diags) if np.any(np.abs(diag) > 0)]
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -654,36 +626,36 @@ def hardware_layout(schedule: PulseSchedule, cutoffs) -> hb.SpaceLayout:
 
 
 def hardware_initial_vector(schedule: PulseSchedule, layout) -> np.ndarray:
-    """Hardware start state: encoded electronic state, all modes in |0>."""
+    """Hardware start state: encoded electronic state (dense: rotated by H), all modes in |0>."""
     elec = np.zeros(layout.electronic_dim, dtype=complex)
     elec[schedule.mapping.hw_index(schedule.initial_state)] = 1.0
-    return hb.product_state(layout, schedule.mapping.encoder() @ elec)
+    if schedule.mapping.encoding == "dense":
+        elec = _H @ elec
+    return hb.product_state(layout, elec)
 
 
 def readout_populations(schedule: PulseSchedule, layout, state, t_fs: float) -> np.ndarray:
-    """Electronic populations from a hardware state after frame correction.
+    """Electronic populations of a hardware vector or density matrix at simulated time t.
 
-    The correction acts on the qubits only, so it is applied to the reduced
-    qubit density matrix.  Dense encoding reads the corrected qubit's
-    computational populations; one-hot reads each qubit's |1> marginal.
+    Dense encoding applies the frame correction to the qubit's reduced
+    density matrix and reads its computational populations.  One-hot reads
+    each state's population as its qubit's |1> marginal of the basis
+    probabilities.
     """
-    corr = schedule.mapping.correction(t_fs)
+    mapping = schedule.mapping
     e = layout.electronic_dim
+    if mapping.encoding == "onehot":
+        probs = np.real(state.conj() * state if state.ndim == 1 else np.diagonal(state))
+        probs = probs.reshape(e, -1).sum(axis=1).reshape((2,) * mapping.qubit_count)
+        return np.array([probs.take(1, axis=q).sum() for q in range(mapping.qubit_count)])
     if state.ndim == 1:
         s = state.reshape(e, -1)
         rho_e = s @ s.conj().T
     else:
         rest = layout.dim // e
         rho_e = np.trace(state.reshape(e, rest, e, rest), axis1=1, axis2=3)
-    diag = np.real(np.diagonal(corr @ rho_e @ corr.conj().T))
-    m = schedule.mapping.state_count
-    if schedule.mapping.encoding == "dense":
-        return diag[:m]
-    out = np.zeros(m)
-    for i in range(m):
-        bit = 1 << (schedule.qubit_count - 1 - i)
-        out[i] = diag[[idx for idx in range(e) if idx & bit]].sum()
-    return out
+    corr = mapping.correction(t_fs)
+    return np.real(np.diagonal(corr @ rho_e @ corr.conj().T))
 
 
 def walk_schedule(schedule: PulseSchedule, layout, state, grid_steps, apply_op):

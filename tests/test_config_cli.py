@@ -457,6 +457,14 @@ GAUSSIAN_DRIVE = (
         (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-lambdas", "nan"], "lambda_over_delta"),
         (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-lambdas", ""], "sweep_lambdas"),
         (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--sweep-modes", ","], "sweep_modes"),
+        # 1 and 1.0000001 both name trace_lam1_N2.csv
+        (
+            None,
+            ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "4", "--sweep-lambdas", "1,1.0000001"]
+            + ["--sweep-modes", "2"],
+            "sweep_lambdas",
+        ),
+        (None, ["sweep", "--backend", "exact", "--cutoffs", "4,4", "--grid-points", "4", "--sweep-modes", "2,2"], "sweep_modes"),
         # the emulated ions start in the motional ground state; no thermal ion state exists yet
         (None, [*ION_RUN, "--backend", "ion-ideal", "--nbar", "0.5"], "nbar"),
         (None, [*ION_RUN, "--backend", "ion-noisy", "--nbar", "0.5"], "nbar"),
@@ -486,7 +494,8 @@ GAUSSIAN_DRIVE = (
         "ehrenfest-seed-neg", "ion-noisy-seed-neg", "ehrenfest-tau-inf", "ion-ideal-tau-inf", "exact-tau-inf",
         "toy-lambda-nan", "toy-lambda-inf", "toy-lambda-neg", "toy-modes-0",
         "estimate-lambda-nan", "estimate-modes-0", "estimate-lambdas-empty", "estimate-modes-empty",
-        "sweep-lambda-nan", "sweep-lambdas-empty", "sweep-modes-empty",
+        "sweep-lambda-nan", "sweep-lambdas-empty", "sweep-modes-empty", "sweep-lambdas-collide",
+        "sweep-modes-collide",
         "ion-ideal-nbar-flag", "ion-noisy-nbar-flag", "ion-nbar-nan", "ion-noisy-eps-cut-nan",
         "toy-drive", "ci-drive", "vaet-drive",
     ],

@@ -81,6 +81,7 @@ def test_dimension_limit():
 
 def test_thermal_zero_temperature():
     p = hb.thermal_weights(5, 0.0)
+    assert np.array_equal(p, np.eye(5)[0])
     assert p[0] == pytest.approx(1.0)
     assert p.sum() == pytest.approx(1.0)
 

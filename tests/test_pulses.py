@@ -222,13 +222,36 @@ class TestFrameBookkeeping:
                 prod = np.column_stack([pulses.apply_pulse(col, p, qubit, {}) for col in prod.T])
             assert np.allclose(prod, np.eye(2), atol=1e-12)
 
-    def test_correction_restores_measurement_basis_at_zero(self):
+    def test_initial_state_reads_back_at_zero(self):
         for spec in (model.build_toy_model(2, 1.0), onehot_spec()):
-            mapping = map_spec(spec)
-            hw_state = mapping.encoder() @ np.eye(2**mapping.qubit_count)[:, mapping.hw_index(0)]
-            back = mapping.correction(0.0) @ hw_state
-            probs = np.abs(back) ** 2
-            assert probs[mapping.hw_index(0) if mapping.encoding == "onehot" else 0] == pytest.approx(1.0)
+            for initial in range(spec.state_count):
+                sch = build_schedule(spec, 400.0, 2, hardware=RELAXED, initial_state=initial)
+                layout = pulses.hardware_layout(sch, (4,) * spec.mode_count)
+                psi = pulses.hardware_initial_vector(sch, layout)
+                pops = pulses.readout_populations(sch, layout, psi, 0.0)
+                assert pops[initial] == pytest.approx(1.0)
+                assert pops.sum() == pytest.approx(1.0)
+
+    def test_onehot_readout_is_qubit_marginal(self):
+        # Gaussian-integer amplitudes make every product and sum exact, so the marginals
+        # are compared bit for bit; the one-hot frame must not touch them at any time
+        sch = build_schedule(onehot_spec(), 400.0, 2, hardware=RELAXED)
+        layout = pulses.hardware_layout(sch, (4,))
+        rng = np.random.default_rng(3)
+
+        def gaussian_ints(*shape):
+            return rng.integers(-999, 1000, shape) + 1j * rng.integers(-999, 1000, shape)
+
+        psi = gaussian_ints(layout.dim)
+        a = gaussian_ints(layout.dim, layout.dim)
+        excited = [
+            (np.eye(layout.dim) - hb.pauli(layout, q, "Z").toarray()) / 2 for q in range(sch.qubit_count)
+        ]
+        for state in (psi, a @ a.conj().T):
+            data = hb.QuantumState(layout, state, validate=False)
+            marginals = [hb.expectation(data, p).real for p in excited]
+            for t_fs in np.linspace(0.0, 400.0, 41):
+                assert np.array_equal(pulses.readout_populations(sch, layout, state, t_fs), marginals)
 
     def test_correction_is_unitary_at_any_time(self):
         mapping = map_spec(model.build_toy_model(2, 1.0))
