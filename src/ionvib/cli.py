@@ -198,76 +198,59 @@ def execute_run(run_cfg: cfg.RunConfig) -> dict:
     return diagnostics
 
 
+def _spaced(text: str) -> str:
+    """A comma list as its config value, e.g. ``8,8`` -> ``8 8``."""
+    return text.replace(",", " ")
+
+
+#: every run flag once: its argparse type (or choices), its help, and the section.key pairs it
+#: writes; --config, --model-file and --hardware write whole files' sections instead
+_RUN_FLAGS = (
+    ("--config", str, "run config file (e.g. a previous sidecar)", ""),
+    ("--model-file", str, "model config file ([model]/[modes]/[drive] sections)", ""),
+    ("--preset", sorted(cfg.PRESET_SECTIONS), "built-in model preset", "model.preset"),
+    ("--lambda-over-delta", float, "reorganization ratio (toy preset)", "model.lambda_over_delta"),
+    ("--modes", int, "bath mode count (toy preset)", "model.modes"),
+    ("--backend", cfg.BACKENDS, None, "run.backend"),
+    ("--output", str, "output file path", "run.output"),
+    ("--tau-fs", float, "simulated evolution span (fs)", "run.tau_fs"),
+    ("--grid-points", int, "equally spaced trace points", "run.grid_points estimate.time_points"),
+    ("--seed", int, "master seed for sampling backends", "run.seed"),
+    ("--steps", int, "Trotter step count (ion backends)", "ion.trotter_steps estimate.trotter_steps"),
+    ("--runs", int, "measurement runs per time point", "ion.runs_per_point estimate.runs_per_point"),
+    ("--cutoffs", _spaced, "fixed per-mode Fock cutoffs, e.g. 8,8", "exact.cutoffs ion.cutoffs"),
+    ("--trajectories", int, "Ehrenfest ensemble size", "ehrenfest.trajectories"),
+    ("--nbar", float, "initial thermal occupation per mode", "exact.nbar ehrenfest.nbar ion.nbar"),
+    ("--hardware", str, "hardware parameter file", ""),
+    ("--lambdas", _spaced, "estimate grid, e.g. 1,5,10,20,30", "estimate.lambdas"),
+    ("--modes-list", _spaced, "estimate grid, e.g. 2,3,4,5", "estimate.modes_list"),
+)
+
+
 def _sections_from_flags(args) -> dict:
     sections = {}
     if args.config:
         # resolved once, after the flags: --backend may pick another backend's section
         sections = cfg.load_run_sections(args.config)
     if args.model_file:
-        model_cfg = cfg.load_model(args.model_file)
-        sections.update(cfg.spec_to_sections(model_cfg))
-    model = sections.setdefault("model", {})
-    if args.preset:
-        model["preset"] = args.preset
-    if args.lambda_over_delta is not None:
-        model["lambda_over_delta"] = repr(args.lambda_over_delta)
-    if args.modes is not None:
-        model["modes"] = str(args.modes)
-    run = sections.setdefault("run", {})
-    for key, value in (
-        ("backend", args.backend),
-        ("output", args.output),
-        ("tau_fs", None if args.tau_fs is None else repr(args.tau_fs)),
-        ("grid_points", None if args.grid_points is None else str(args.grid_points)),
-        ("seed", None if args.seed is None else str(args.seed)),
-    ):
-        if value is not None:
-            run[key] = value
+        sections.update(cfg.spec_to_sections(cfg.load_model(args.model_file)))
     if args.hardware:
-        hw = cfg.load_hardware(args.hardware)
-        sections.update(cfg.hardware_to_sections(hw))
-    if args.steps is not None:
-        sections.setdefault("ion", {})["trotter_steps"] = str(args.steps)
-        sections.setdefault("estimate", {})["trotter_steps"] = str(args.steps)
-    if args.grid_points is not None:
-        sections.setdefault("estimate", {})["time_points"] = str(args.grid_points)
-    if args.runs is not None:
-        sections.setdefault("ion", {})["runs_per_point"] = str(args.runs)
-        sections.setdefault("estimate", {})["runs_per_point"] = str(args.runs)
-    if args.cutoffs is not None:
-        sections.setdefault("ion", {})["cutoffs"] = args.cutoffs.replace(",", " ")
-        sections.setdefault("exact", {})["cutoffs"] = args.cutoffs.replace(",", " ")
-    if args.trajectories is not None:
-        sections.setdefault("ehrenfest", {})["trajectories"] = str(args.trajectories)
-    if args.nbar is not None:
-        for name in ("exact", "ehrenfest", "ion"):
-            sections.setdefault(name, {})["nbar"] = repr(args.nbar)
-    if args.lambdas is not None:
-        sections.setdefault("estimate", {})["lambdas"] = args.lambdas.replace(",", " ")
-    if args.modes_list is not None:
-        sections.setdefault("estimate", {})["modes_list"] = args.modes_list.replace(",", " ")
+        sections.update(cfg.hardware_to_sections(cfg.load_hardware(args.hardware)))
+    for name in ("model", "run"):  # present, if empty, in every sidecar
+        sections.setdefault(name, {})
+    for flag, _, _, targets in _RUN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        for target in targets.split():
+            name, key = target.split(".")
+            sections.setdefault(name, {})[key] = repr(value) if isinstance(value, float) else str(value)
     return sections
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="run config file (e.g. a previous sidecar)")
-    p.add_argument("--model-file", help="model config file ([model]/[modes]/[drive] sections)")
-    p.add_argument("--preset", choices=sorted(cfg.PRESET_SECTIONS), help="built-in model preset")
-    p.add_argument("--lambda-over-delta", type=float, help="reorganization ratio (toy preset)")
-    p.add_argument("--modes", type=int, help="bath mode count (toy preset)")
-    p.add_argument("--backend", choices=cfg.BACKENDS)
-    p.add_argument("--output", help="output file path")
-    p.add_argument("--tau-fs", type=float, help="simulated evolution span (fs)")
-    p.add_argument("--grid-points", type=int, help="equally spaced trace points")
-    p.add_argument("--seed", type=int, help="master seed for sampling backends")
-    p.add_argument("--steps", type=int, help="Trotter step count (ion backends)")
-    p.add_argument("--runs", type=int, help="measurement runs per time point")
-    p.add_argument("--cutoffs", help="fixed per-mode Fock cutoffs, e.g. 8,8")
-    p.add_argument("--trajectories", type=int, help="Ehrenfest ensemble size")
-    p.add_argument("--nbar", type=float, help="initial thermal occupation per mode")
-    p.add_argument("--hardware", help="hardware parameter file")
-    p.add_argument("--lambdas", help="estimate grid, e.g. 1,5,10,20,30")
-    p.add_argument("--modes-list", help="estimate grid, e.g. 2,3,4,5")
+    for flag, kind, help_text, _ in _RUN_FLAGS:
+        p.add_argument(flag, help=help_text, **({"type": kind} if callable(kind) else {"choices": kind}))
 
 
 def main(argv=None) -> int:
@@ -355,17 +338,12 @@ def _dispatch(args) -> int:
             repeated = [x for i, x in enumerate(labels) if x in labels[:i]]
             if repeated:
                 raise ConfigError(f"two points share the output file label {repeated[0]!r}", key=key)
-        base_sections = _sections_from_flags(args)
         points = []
         for n in modes:
             for lam in lambdas:
-                sections = {k: dict(v) for k, v in base_sections.items()}
-                sections.setdefault("model", {}).update(
-                    {"preset": "toy", "modes": str(n), "lambda_over_delta": repr(lam)}
-                )
                 path = os.path.join(args.output_dir, f"trace_lam{lam:g}_N{n}.csv")
-                sections.setdefault("run", {})["output"] = path
-                run_cfg = cfg.resolve_run_config(sections)
+                point = {"preset": "toy", "modes": n, "lambda_over_delta": lam, "output": path}
+                run_cfg = cfg.resolve_run_config(_sections_from_flags(argparse.Namespace(**{**vars(args), **point})))
                 run_cfg.spec()  # every point's model is built, so a bad value fails before any run
                 points.append(run_cfg)
         os.makedirs(args.output_dir, exist_ok=True)

@@ -41,6 +41,18 @@ def _parser() -> configparser.ConfigParser:
     return p
 
 
+def _read_ini(path, what: str) -> dict:
+    """An INI file's sections as dicts; an unreadable or malformed file raises ConfigError."""
+    p = _parser()
+    try:
+        if not p.read(path):
+            raise ConfigError(f"cannot read {what} file {path}")
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None)
+        raise ConfigError(f"config parse error: {exc.message.splitlines()[0]}", line=line) from exc
+    return {s: dict(p[s]) for s in p.sections()}
+
+
 def floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
@@ -54,12 +66,7 @@ def _complexes(text: str) -> list:
 
 
 def _boolean(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
+    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]  # KeyError: not a boolean
 
 
 def parse_value(section: dict, key: str, kind=float, default=None):
@@ -70,7 +77,7 @@ def parse_value(section: dict, key: str, kind=float, default=None):
     text = section[key] if default is None else section.get(key, default)
     try:
         return kind(text)
-    except ValueError:
+    except (ValueError, KeyError):
         raise ConfigError(f"cannot parse {text!r}", key=key) from None
 
 
@@ -113,6 +120,7 @@ def spec_to_sections(spec: LvcmSpec) -> dict:
     return sections
 
 
+#: each preset's settings; the [model] keys after ``preset`` are its builder's arguments, in order
 PRESET_SECTIONS = {
     "toy": {"model": {"preset": "toy", "modes": "2", "lambda_over_delta": "1.0"}},
     "ci": {
@@ -202,33 +210,26 @@ def _sized(section: dict, key: str, kind, count: int, default=None) -> list:
     return values
 
 
+#: builders of the presets that take no [drive] section
+_BUILDERS = {"toy": build_toy_model, "ci": build_ci_model, "vaet": build_vaet_model}
+#: preset [model] keys that hold other than one float
+_KINDS = {
+    "modes": int, "nu_ev": floats, "omega_ev": floats, "mu1": floats, "mu2": floats, "v1_ev": complex, "v2_ev": complex
+}
+
+
 def _spec_from_model(model: dict, sections) -> LvcmSpec:
     preset = model.get("preset", "custom").strip().lower()
-    if preset in ("toy", "ci", "vaet") and "drive" in sections:
+    if preset in _BUILDERS and "drive" in sections:
         raise ConfigError(f"the {preset} preset takes no [drive] section", key="drive")
-    if preset == "toy":
-        return build_toy_model(parse_value(model, "modes", int), parse_value(model, "lambda_over_delta"))
-    if preset == "ci":
-        return build_ci_model(*(parse_value(model, k) for k in ("kx_ev", "kz_ev", "nux_ev", "nuz_ev")))
-    if preset == "vaet":
-        return build_vaet_model(
-            parse_value(model, "e_d_ev"),
-            parse_value(model, "e_a_ev"),
-            parse_value(model, "delta_ev"),
-            parse_value(model, "kappa_d1_ev"),
-            parse_value(model, "kappa_d2_ev"),
-            parse_value(model, "kappa_a2_ev"),
-            parse_value(model, "kappa_a3_ev"),
-            parse_value(model, "nu_ev", floats),
-        )
-    if preset == "plet":
+    if preset in PRESET_SECTIONS:
+        keys = [k for k in PRESET_SECTIONS[preset]["model"] if k != "preset"]
+        args = [parse_value(model, k, _KINDS.get(k, float)) for k in keys]
+        if preset in _BUILDERS:
+            return _BUILDERS[preset](*args)
         drive = sections["drive"]
         return build_plet_model(
-            parse_value(model, "omega_ev", floats),
-            parse_value(model, "mu1", floats),
-            parse_value(model, "mu2", floats),
-            parse_value(model, "v1_ev", complex),
-            parse_value(model, "v2_ev", complex),
+            *args,
             parse_value(drive, "polarization", _complexes),
             parse_value(drive, "carrier_ev"),
             _envelope(drive),
@@ -273,10 +274,7 @@ def save_model(spec: LvcmSpec, path) -> None:
 
 
 def load_model(path) -> LvcmSpec:
-    p = _parser()
-    if not p.read(path):
-        raise ConfigError(f"cannot read model file {path}")
-    return spec_from_sections({s: dict(p[s]) for s in p.sections()})
+    return spec_from_sections(_read_ini(path, "model"))
 
 
 # --- hardware files ---------------------------------------------------------------
@@ -324,10 +322,7 @@ def hardware_from_sections(sections) -> HardwareParams:
 
 
 def load_hardware(path) -> HardwareParams:
-    p = _parser()
-    if not p.read(path):
-        raise ConfigError(f"cannot read hardware file {path}")
-    return hardware_from_sections({s: dict(p[s]) for s in p.sections()})
+    return hardware_from_sections(_read_ini(path, "hardware"))
 
 
 # --- run configs -------------------------------------------------------------------
@@ -404,14 +399,7 @@ def resolve_run_config(sections: dict) -> RunConfig:
 
 def load_run_sections(path) -> dict:
     """A run config file's sections as written (no defaults, no [meta])."""
-    p = _parser()
-    try:
-        if not p.read(path):
-            raise ConfigError(f"cannot read config file {path}")
-    except configparser.Error as exc:
-        line = getattr(exc, "lineno", None)
-        raise ConfigError(f"config parse error: {exc.message.splitlines()[0]}", line=line) from exc
-    return {s: dict(p[s]) for s in p.sections() if s != "meta"}
+    return {name: kv for name, kv in _read_ini(path, "config").items() if name != "meta"}
 
 
 def load_run_config(path) -> RunConfig:

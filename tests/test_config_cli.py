@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import os
 import re
@@ -54,6 +55,24 @@ class TestModelFiles:
             {"model": {"preset": "toy", "modes": "2", "lambda_over_delta": "5.0"}}
         )
         assert spec == model.build_toy_model(2, 5.0)
+        # a distinct value per key: a key read into the wrong builder argument changes the spec
+        envelope = model.Envelope("gaussian", amplitude=0.7, center_fs=50.0, width_fs=20.0)
+        drive = {"polarization": "0.6 0.8j", "carrier_ev": "2.01", "envelope": "gaussian", "amplitude": "0.7",
+                 "center_fs": "50.0", "width_fs": "20.0", "rwa": "false"}
+        cases = [
+            ({"preset": "ci", "kx_ev": "0.01", "kz_ev": "0.02", "nux_ev": "0.07", "nuz_ev": "0.09"}, None,
+             model.build_ci_model(0.01, 0.02, 0.07, 0.09)),
+            ({"preset": "vaet", "e_d_ev": "0.001", "e_a_ev": "-0.0124", "delta_ev": "0.0131", "kappa_d1_ev": "0.0062",
+              "kappa_d2_ev": "0.0057", "kappa_a2_ev": "-0.0049", "kappa_a3_ev": "0.0071", "nu_ev": "0.0124 0.0186 0.0248"},
+             None, model.build_vaet_model(0.001, -0.0124, 0.0131, 0.0062, 0.0057, -0.0049, 0.0071, [0.0124, 0.0186, 0.0248])),
+            ({"preset": "plet", "omega_ev": "0.0 2.0 2.02 1.98", "mu1": "0.012 0.0", "mu2": "0.0 0.013",
+              "v1_ev": "0.01", "v2_ev": "0.02+0.001j"}, drive,
+             model.build_plet_model([0.0, 2.0, 2.02, 1.98], [0.012, 0.0], [0.0, 0.013], 0.01, 0.02 + 0.001j,
+                                    [0.6, 0.8j], 2.01, envelope, False)),
+        ]
+        for model_keys, drive_keys, expected in cases:
+            sections = {"model": model_keys} if drive_keys is None else {"model": model_keys, "drive": drive_keys}
+            assert cfg.spec_from_sections(sections) == expected, model_keys["preset"]
 
     @pytest.mark.parametrize("name", sorted(cfg.PRESET_SECTIONS))
     def test_preset_only_model_file_loads_the_preset(self, tmp_path, name):
@@ -903,3 +922,58 @@ def test_estimate_ignores_run_keys_it_does_not_read(tmp_path, line):
     assert main(["estimate", "--output", str(default)]) == 0
     assert main(["run", "--config", str(path), "--output", str(out)]) == 0
     assert out.read_bytes() == default.read_bytes()
+
+
+def test_sections_from_flags_writes_every_destination():
+    from ionvib import cli
+
+    parser = argparse.ArgumentParser()
+    cli._add_run_flags(parser)
+    args = parser.parse_args(
+        [
+            "--preset", "toy", "--lambda-over-delta", "2.50", "--modes", "3", "--backend", "ion-noisy",
+            "--output", "a,b.csv", "--tau-fs", "1e2", "--grid-points", "20", "--seed", "7", "--steps", "120",
+            "--runs", "50", "--cutoffs", "6,5,4", "--trajectories", "12", "--nbar", "0.25",
+            "--lambdas", "1,5.5", "--modes-list", "2,3",
+        ]
+    )
+    assert cli._sections_from_flags(args) == {
+        "model": {"preset": "toy", "lambda_over_delta": "2.5", "modes": "3"},
+        "run": {"backend": "ion-noisy", "output": "a,b.csv", "tau_fs": "100.0", "grid_points": "20", "seed": "7"},
+        "exact": {"cutoffs": "6 5 4", "nbar": "0.25"},
+        "ehrenfest": {"trajectories": "12", "nbar": "0.25"},
+        "ion": {"trotter_steps": "120", "runs_per_point": "50", "cutoffs": "6 5 4", "nbar": "0.25"},
+        "estimate": {
+            "trotter_steps": "120", "time_points": "20", "runs_per_point": "50", "lambdas": "1 5.5",
+            "modes_list": "2 3",
+        },
+    }
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model-file", "--hardware"])
+@pytest.mark.parametrize(
+    "text,line", [("# no header\nmodes = 2\n", 2), ("[model]\npreset = toy\npreset = ci\n", 3)], ids=["no-header", "repeated-key"]
+)
+def test_malformed_ini_file_exits_2_with_its_line(tmp_path, capsys, flag, text, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["run", "--preset", "toy", flag, str(path), "--output", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parse error: ")
+    assert f"(line {line})" in err
+
+
+@pytest.mark.parametrize("flag,what", [("--config", "config"), ("--model-file", "model"), ("--hardware", "hardware")])
+def test_missing_ini_file_exits_2_naming_it(tmp_path, capsys, flag, what):
+    path = tmp_path / "absent.ini"
+    assert main(["run", "--preset", "toy", flag, str(path), "--output", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {what} file {path}\n"
+
+
+def test_plet_on_ion_backend_needs_more_steps_than_the_default(tmp_path, capsys):
+    # at 600 steps the first ms pulse needs more sideband Rabi than the default hardware allows
+    out = str(tmp_path / "p.csv")
+    assert main(["run", "--preset", "plet", "--backend", "ion-ideal", "--output", out]) == 4
+    err = capsys.readouterr().err
+    assert "ms pulse at step 0 on qubits (1,3) needs 5.04 kHz sideband Rabi, above the 4.95 kHz ceiling" in err
+    assert main(["run", "--preset", "plet", "--backend", "ion-ideal", "--steps", "1200", "--output", out]) == 0
