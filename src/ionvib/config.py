@@ -42,11 +42,13 @@ def _parser() -> configparser.ConfigParser:
 
 
 def _read_ini(path, what: str) -> dict:
-    """An INI file's sections as dicts; an unreadable or malformed file raises ConfigError."""
+    """An INI file's sections as dicts; an unreadable, non-UTF-8 or malformed file raises ConfigError."""
     p = _parser()
     try:
-        if not p.read(path):
+        if not p.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read {what} file {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: not valid UTF-8 at byte {exc.start}") from exc
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         raise ConfigError(f"config parse error: {exc.message.splitlines()[0]}", line=line) from exc

@@ -19,8 +19,9 @@ platforms and independent of scheduling order.
 Integration: the whole ensemble is one batch of real variables.  Trajectory
 r is the float64 vector (Re c, Im c, q, p) of length 2M + 2N, and the R
 trajectories are stacked in trajectory-index order into one R(2M + 2N)
-system that a single DOP853 call advances with rtol = atol = tol / sqrt(R); a
-lone trajectory (``evolve_trajectory``) is the batch of one.  DOP853 accepts a
+system that DOP853 (Hairer, Norsett & Wanner's compiled code, through
+scipy.integrate.ode) advances with rtol = atol = tol / sqrt(R); a lone
+trajectory (``evolve_trajectory``) is the batch of one.  DOP853 accepts a
 step when the RMS of the scaled local error over all R(2M + 2N) components is
 at most 1, each component scaled by atol + rtol |y_i| (so Re c and Im c are
 scaled separately).  Scaled with tol instead of tol / sqrt(R), the errors of
@@ -28,8 +29,12 @@ any one trajectory then have an RMS of at most 1: every accepted step passes
 the test that trajectory would meet if it were integrated alone at ``tol``.
 Its result still depends on its batch-mates, which set the common step
 sizes, so the batch composition is fixed by trajectory index and a rerun is
-bit-identical.  scipy raises any rtol below 100 eps (about 2.2e-14) to that
-floor with a warning, e.g. tol = 1e-13 at R = 100.
+bit-identical.  The stepper restarts at each grid point, the grid point's
+state being its initial value; the last full step of one interval is the
+first step of the next, so a restart skips DOP853's initial-step search.
+Below 100 eps (about 2.2e-14) the local error estimate is rounding noise, so
+a smaller rtol, e.g. tol = 1e-13 at R = 100, is raised to that floor with a
+warning; atol stays tol / sqrt(R).
 
 The equations are quadratic in a trajectory's y, so the batch's right-hand
 side is one GEMM, dy = [y, P(y)] A, where P(y) holds the products of
@@ -48,6 +53,7 @@ statistics (means compared in units of their standard error) are meaningful.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +63,8 @@ from .model import LvcmSpec
 from .trace import PopulationTrace
 
 SQRT2 = np.sqrt(2.0)
+RTOL_FLOOR = 100 * np.finfo(float).eps  # DOP853's relative error estimate is noise below this
+NO_STEP_CAP = np.iinfo(np.int32).max  # DOP853's steps per grid interval: no practical limit
 
 
 @dataclass
@@ -125,8 +133,8 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     """Integrate trajectories as one batch; returns (|c_i(t)|^2 of shape (R, T, M), RHS evaluations).
 
     The R states are stacked, in the given order, into one real system of
-    R (Re c, Im c, q, p) rows that one DOP853 call advances with
-    rtol = atol = tol / sqrt(R).
+    R (Re c, Im c, q, p) rows that DOP853 advances one grid interval at a
+    time with rtol = atol = tol / sqrt(R).
     """
     r, m, n = len(states), spec.state_count, spec.mode_count
     if any(s.c.shape != (m,) or s.q.shape != (n,) or s.p.shape != (n,) for s in states):
@@ -148,8 +156,11 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
     # [y, P(y)] refilled on each call, trajectories on the last axis so the products run along the batch
     ext = np.empty((w + pairs, r))
     prod = ext[w:].reshape(2 * m + n, 2 * m, r)
+    evals = 0
 
     def rhs(t, y):
+        nonlocal evals
+        evals += 1
         y = y.reshape(r, w)
         if driven:
             a[: 2 * m, : 2 * m] = _realify(-1j * spec.electronic_matrix(t).T)
@@ -160,23 +171,45 @@ def _integrate(spec: LvcmSpec, states, times: np.ndarray, tol: float):
         np.multiply(y[: 2 * m + n, None], y[None, : 2 * m], out=prod)
         return (ext.T @ a).ravel()
 
-    from scipy.integrate import solve_ivp  # only Ehrenfest runs need it
+    from scipy.integrate import ode  # only Ehrenfest runs need it
 
     batch_tol = tol / np.sqrt(r)
-    sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        y0,
-        t_eval=times,
-        method="DOP853",
-        rtol=batch_tol,
-        atol=batch_tol,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"trajectory integration failed: {sol.message}")
-    y_t = sol.y.reshape(r, w, -1)
-    pops = y_t[:, :m] ** 2 + y_t[:, m : 2 * m] ** 2
-    return pops.transpose(0, 2, 1), sol.nfev
+    rtol = max(batch_tol, RTOL_FLOOR)
+    if rtol > batch_tol:
+        warnings.warn(
+            f"rtol = tol/sqrt(R) = {batch_tol:.3g} is below 100 eps; integrating at rtol = {rtol:.3g}", stacklevel=3
+        )
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=batch_tol, nsteps=NO_STEP_CAP)
+    accepted = []  # times of the accepted steps of the current interval, from its start
+    solver.set_solout(lambda t, y: accepted.append(t))
+    solver.set_initial_value(y0, times[0])
+    # DOP853's WORK array: WORK(7) is each call's first step (0: search for it), which ode only sets
+    # when it builds the integrator
+    work = solver._integrator.work
+    y_t = np.empty((len(times), r * w))
+    y_t[0] = y0
+    try:
+        for i in range(1, len(times)):
+            if times[i] == times[i - 1]:  # DOP853 fails on an empty interval
+                y_t[i] = y_t[i - 1]
+                continue
+            accepted.clear()
+            y_t[i] = solver.integrate(times[i])
+            if not solver.successful():
+                raise ConvergenceError(
+                    f"trajectory integration failed between t = {times[i - 1]} and {times[i]} fs "
+                    f"(DOP853 return code {solver.get_return_code()})"
+                )
+            # each call restarts the stepper; the interval's last step is cut to end on the grid
+            # point, the one before it is a full step
+            work[6] = np.max(np.abs(np.diff(accepted[-3:])))
+    finally:
+        # scipy's compiled DOP853 keeps a reference to each call's callbacks, the stepper's own
+        # solout method among them, so the stepper outlives the batch: drop its work arrays
+        solver.set_initial_value(np.empty(0))
+    y_t = y_t.reshape(len(times), r, w)
+    pops = y_t[:, :, :m] ** 2 + y_t[:, :, m : 2 * m] ** 2
+    return pops.transpose(1, 0, 2), evals
 
 
 def evolve_trajectory(spec: LvcmSpec, state: TrajectoryState, times_fs, tol: float = 1e-10):
@@ -205,7 +238,10 @@ def ensemble_average(spec: LvcmSpec, config: EnsembleConfig, times_fs) -> Popula
             "nbar": config.nbar,
             "seed": config.seed,
             "rng": "numpy PCG64, SeedSequence([seed, trajectory])",
-            "integrator": f"DOP853, one batch of {config.trajectories}, rtol=atol=tol/sqrt({config.trajectories})",
+            "integrator": (
+                f"DOP853 (scipy.integrate.ode), one batch of {config.trajectories}, "
+                f"rtol=atol=tol/sqrt({config.trajectories})"
+            ),
             "rhs_evals": rhs_evals,
         },
     )

@@ -684,9 +684,19 @@ def test_ehrenfest_sidecar_records_integrator(tmp_path):
     assert main([*args, "--output", str(out)]) == 0
     sidecar = configparser.ConfigParser()
     sidecar.read(str(out) + ".meta.ini")
-    assert sidecar["meta"]["integrator"] == "DOP853, one batch of 4, rtol=atol=tol/sqrt(4)"
+    assert sidecar["meta"]["integrator"] == "DOP853 (scipy.integrate.ode), one batch of 4, rtol=atol=tol/sqrt(4)"
     assert int(sidecar["meta"]["rhs_evals"]) > 0
     assert "integrator" not in out.read_text()
+
+
+def test_ehrenfest_one_grid_point_writes_the_initial_row(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["run", "--preset", "toy", "--backend", "ehrenfest", "--grid-points", "1", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    trace = read_csv(out)
+    assert np.array_equal(trace.times_fs, [0.0])
+    assert np.array_equal(trace.populations, [[1.0, 0.0]])
+    assert np.array_equal(trace.stderr, [[0.0, 0.0]])
 
 
 #: settings earlier versions read; a config that still carries them runs as without them
@@ -961,6 +971,14 @@ def test_malformed_ini_file_exits_2_with_its_line(tmp_path, capsys, flag, text, 
     err = capsys.readouterr().err
     assert err.startswith("error: config parse error: ")
     assert f"(line {line})" in err
+
+
+@pytest.mark.parametrize("flag,what", [("--config", "config"), ("--model-file", "model"), ("--hardware", "hardware")])
+def test_non_utf8_ini_file_exits_2_naming_it(tmp_path, capsys, flag, what):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[model]\npreset = t\xffoy\n")
+    assert main(["run", "--preset", "toy", flag, str(path), "--output", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {what} file {path}: not valid UTF-8 at byte 18\n"
 
 
 @pytest.mark.parametrize("flag,what", [("--config", "config"), ("--model-file", "model"), ("--hardware", "hardware")])

@@ -13,7 +13,7 @@ from ionvib.ehrenfest import (
     sample_initial,
     trajectory_rng,
 )
-from ionvib.errors import InvalidModelError
+from ionvib.errors import ConvergenceError, InvalidModelError
 from ionvib.units import ev_to_rad_per_fs
 from test_exact import _frame_specs
 
@@ -121,13 +121,18 @@ class TestEnsemble:
         assert np.all(ens.stderr == 0)
 
     def test_bit_identical_rerun(self):
-        spec = model.build_toy_model(2, 2.0)
-        times = np.linspace(0, 100, 6)
-        config = EnsembleConfig(trajectories=8, seed=123)
-        a = ensemble_average(spec, config, times)
-        b = ensemble_average(spec, config, times)
-        assert np.array_equal(a.populations, b.populations)
-        assert np.array_equal(a.stderr, b.stderr)
+        # also at the chaotic lambda = 5 over the 40 restarted intervals of the default grid
+        cases = [
+            (2.0, EnsembleConfig(trajectories=8, seed=123), np.linspace(0, 100, 6)),
+            (5.0, EnsembleConfig(trajectories=20, seed=7), exact.default_time_grid()),
+        ]
+        for lam, config, times in cases:
+            spec = model.build_toy_model(2, lam)
+            a = ensemble_average(spec, config, times)
+            b = ensemble_average(spec, config, times)
+            assert np.array_equal(a.populations, b.populations)
+            assert np.array_equal(a.stderr, b.stderr)
+            assert a.metadata["rhs_evals"] == b.metadata["rhs_evals"]
 
     def test_stderr_scaling(self):
         spec = model.build_toy_model(2, 1.0)
@@ -259,16 +264,11 @@ def test_batch_matches_standalone_ensemble_statistics():
 
 
 def test_ensemble_is_one_solver_call(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["rtol"])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    solvers = _captured_solver(monkeypatch)
     spec = model.build_toy_model(2, 1.0)
     tr = ensemble_average(spec, EnsembleConfig(trajectories=16, seed=1), np.linspace(0, 50, 4))
-    assert calls == [1e-10 / 4]
+    (solver,) = solvers
+    assert {(name, kw["rtol"], kw["atol"]) for name, kw in solver.settings} == {("dop853", 1e-10 / 4, 1e-10 / 4)}
     assert tr.metadata["rhs_evals"] > 0
 
 
@@ -330,15 +330,29 @@ def test_ensemble_matches_per_term_equations_in_stderr_units():
 
 
 def _captured_solver(monkeypatch):
-    """Patch solve_ivp to record each call's (rhs, y0, solution)."""
-    calls = []
+    """Patch scipy.integrate.ode to record each solver's rhs (``f``), integrator settings, initial values and states."""
+    solvers = []
 
-    def kept(rhs, span, y0, **kwargs):
-        calls.append((rhs, y0, solve_ivp(rhs, span, y0, **kwargs)))
-        return calls[-1][2]
+    class Kept(scipy.integrate.ode):
+        def __init__(self, f, jac=None):
+            super().__init__(f, jac)
+            self.settings, self.starts, self.ends = [], [], []
+            solvers.append(self)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", kept)
-    return calls
+        def set_integrator(self, name, **kwargs):
+            self.settings.append((name, kwargs))
+            return super().set_integrator(name, **kwargs)
+
+        def set_initial_value(self, y, t=0.0):
+            self.starts.append(np.array(y))
+            return super().set_initial_value(y, t)
+
+        def integrate(self, t, *args, **kwargs):
+            self.ends.append(np.array(super().integrate(t, *args, **kwargs)))
+            return self.ends[-1]
+
+    monkeypatch.setattr(scipy.integrate, "ode", Kept)
+    return solvers
 
 
 def _real_state(c, q, p):
@@ -348,13 +362,14 @@ def _real_state(c, q, p):
 @pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven", "modeless-driven"])
 def test_rhs_matches_per_term_equations(name, monkeypatch):
     # the real right-hand side at random (Re c, Im c, q, p) equals the complex per-term equations
-    calls = _captured_solver(monkeypatch)
+    solvers = _captured_solver(monkeypatch)
     spec = _rhs_specs()[name]
     m, n, r = spec.state_count, spec.mode_count, 3
     config = EnsembleConfig(trajectories=r, seed=6)
     states = [sample_initial(config, spec, trajectory_rng(6, i)) for i in range(r)]
     ehrenfest._integrate(spec, states, np.linspace(0.0, 1.0, 2), 1e-6)
-    ((rhs, _, _),) = calls
+    (solver,) = solvers
+    rhs = solver.f
     rng = np.random.default_rng(8)
     for t in (37.0, 80.0):
         c = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
@@ -369,7 +384,7 @@ def test_rhs_matches_per_term_equations(name, monkeypatch):
 @pytest.mark.parametrize("name", ["toy", "three-state", "driven", "three-state-driven", "modeless-driven"])
 def test_solver_state_is_real_c_then_q_p(name, monkeypatch):
     # each trajectory is the float64 row (Re c, Im c, q, p); populations are (Re c)^2 + (Im c)^2
-    calls = _captured_solver(monkeypatch)
+    solvers = _captured_solver(monkeypatch)
     spec = _rhs_specs()[name]
     m, n, r = spec.state_count, spec.mode_count, 4
     rng = np.random.default_rng(2)
@@ -378,11 +393,12 @@ def test_solver_state_is_real_c_then_q_p(name, monkeypatch):
         c = rng.normal(size=m) + 1j * rng.normal(size=m)
         states.append(TrajectoryState(c=c / np.linalg.norm(c), q=rng.normal(size=n), p=rng.normal(size=n)))
     pops, _ = ehrenfest._integrate(spec, states, np.linspace(0.0, 300.0, 13), 1e-10)
-    ((_, y0, sol),) = calls
+    (solver,) = solvers
+    y0 = solver.starts[0]
     assert y0.dtype == np.float64 and y0.shape == (r * (2 * m + 2 * n),)
     assert np.array_equal(y0, np.concatenate([_real_state(s.c, s.q, s.p) for s in states]))
-    y = sol.y.reshape(r, 2 * m + 2 * n, -1)
-    np.testing.assert_allclose(pops, (y[:, :m] ** 2 + y[:, m : 2 * m] ** 2).transpose(0, 2, 1), rtol=0, atol=1e-15)
+    y = np.stack([y0, *solver.ends]).reshape(-1, r, 2 * m + 2 * n)
+    np.testing.assert_allclose(pops, (y[..., :m] ** 2 + y[..., m : 2 * m] ** 2).transpose(1, 0, 2), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -394,3 +410,48 @@ def test_mis_sized_trajectory_state_rejected(c, q, p):
     spec = model.build_toy_model(2, 1.0)
     with pytest.raises(InvalidModelError, match="2 amplitudes c and 2 coordinates each in q and p"):
         evolve_trajectory(spec, TrajectoryState(c=c, q=q, p=p), np.linspace(0.0, 10.0, 3))
+
+
+def test_zero_length_grid_returns_initial_populations():
+    spec = model.build_toy_model(2, 1.0)
+    c = np.array([0.6, 0.8j])
+    state = TrajectoryState(c=c, q=[0.3, -0.2], p=[0.1, 0.4])
+    assert np.array_equal(evolve_trajectory(spec, state, [0.0]), [np.abs(c) ** 2])
+    pops = evolve_trajectory(spec, state, [0.0, 0.0, 20.0, 20.0])
+    assert np.array_equal(pops[0], pops[1]) and np.array_equal(pops[2], pops[3])
+
+
+def test_long_interval_is_not_step_capped():
+    # one 0 -> 400 fs interval at strong coupling takes far more than ode's default 500 steps
+    spec = model.build_toy_model(2, 30.0)
+    config = EnsembleConfig(trajectories=100, seed=7)
+    states = [sample_initial(config, spec, trajectory_rng(7, r)) for r in range(100)]
+    pops, evals = ehrenfest._integrate(spec, states, np.array([0.0, 400.0]), config.tol)
+    assert evals > 12 * 500  # DOP853 takes 12 evaluations per step
+    assert np.max(np.abs(pops.sum(axis=2) - 1.0)) < 1e-8
+
+
+def test_step_budget_exhausted_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(ehrenfest, "NO_STEP_CAP", 10)
+    spec = model.build_toy_model(2, 1.0)
+    state = TrajectoryState(c=[1.0, 0.0], q=[0.3, -0.2], p=[0.1, 0.4])
+    with pytest.warns(UserWarning, match="larger nsteps"), pytest.raises(ConvergenceError, match="return code -2"):
+        evolve_trajectory(spec, state, [0.0, 50.0, 400.0])
+
+
+def test_rtol_below_floor_warns_and_runs_at_the_floor(monkeypatch):
+    solvers = _captured_solver(monkeypatch)
+    spec = model.build_toy_model(2, 1.0)
+    with pytest.warns(UserWarning, match="below 100 eps"):
+        tr = ensemble_average(spec, EnsembleConfig(trajectories=100, seed=7, tol=1e-13), np.linspace(0, 20, 3))
+    (solver,) = solvers
+    assert {(kw["rtol"], kw["atol"]) for _, kw in solver.settings} == {(100 * np.finfo(float).eps, 1e-14)}
+    assert np.max(np.abs(tr.populations.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_interval_restarts_carry_the_step():
+    # the solve_ivp DOP853 this replaced took 3674 evaluations here; restarting each
+    # interval with DOP853's own first-step search takes about 4840
+    spec = model.build_toy_model(2, 1.0)
+    tr = ensemble_average(spec, EnsembleConfig(trajectories=20, seed=7), exact.default_time_grid())
+    assert tr.metadata["rhs_evals"] <= 1.15 * 3674
